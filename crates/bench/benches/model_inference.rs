@@ -1,10 +1,10 @@
 //! Bench: per-row vs batch inference latency of each model family.
 //!
 //! The scheduler ranks every feasible candidate per decision, so inference
-//! latency bounds decision throughput. The flat-tree refactor made inference
-//! batch-first: one contiguous candidate × feature matrix streams through
-//! each tree's struct-of-arrays nodes (trees-outer), instead of re-walking
-//! the whole ensemble once per candidate. This bench measures a 16-candidate
+//! latency bounds decision throughput. Inference is batch-first: one
+//! contiguous candidate × feature matrix walks the packed trees in groups
+//! (every row through several trees at once), instead of re-walking the
+//! whole ensemble once per candidate. This bench measures a 16-candidate
 //! decision for all three paper families:
 //!
 //! * `per_row_16/<family>` — 16 sequential `predict_from_features` calls

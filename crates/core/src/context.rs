@@ -431,9 +431,8 @@ impl<'a> SchedulingContext<'a> {
     /// Rank the (pruned) feasible candidates by supervised completion-time
     /// predictions via **one batch inference call**: the candidate × feature
     /// matrix is constructed row by row into the context's contiguous
-    /// scratch, then the whole batch streams through the model's flat-tree
-    /// kernels at once (trees-outer), instead of re-walking every tree per
-    /// candidate. The ranking is built into `out`, reusing its buffer, and
+    /// scratch, then the whole batch walks the model's trees at once, instead
+    /// of re-walking every tree per candidate. The ranking is built into `out`, reusing its buffer, and
     /// every intermediate lives in the context's scratch — a steady-state
     /// decision touches no heap.
     ///

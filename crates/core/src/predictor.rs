@@ -47,6 +47,18 @@ impl fmt::Display for PredictorError {
 
 impl std::error::Error for PredictorError {}
 
+/// A raw model output as a completion time: negative predictions clamp to 0,
+/// and NaN (a model fed a non-finite feature) becomes +∞, the worst score.
+/// `f64::max` would turn NaN into 0 — the best score — and rank a node with
+/// undefined telemetry first.
+fn completion_seconds(raw: f64) -> f64 {
+    if raw.is_nan() {
+        f64::INFINITY
+    } else {
+        raw.max(0.0)
+    }
+}
+
 /// A trained model plus its feature schema.
 #[derive(Debug, Clone)]
 pub struct CompletionTimePredictor {
@@ -150,7 +162,8 @@ impl CompletionTimePredictor {
     }
 
     /// Predict the completion time (seconds) of `job` if its driver were
-    /// placed on `candidate_node`. Predictions are clamped to be non-negative.
+    /// placed on `candidate_node`. Predictions are clamped to be
+    /// non-negative, and an undefined (NaN) prediction scores as +∞.
     pub fn predict(
         &self,
         snapshot: &ClusterSnapshot,
@@ -163,17 +176,17 @@ impl CompletionTimePredictor {
 
     /// Predict directly from an already constructed feature vector.
     pub fn predict_from_features(&self, features: &FeatureVector) -> f64 {
-        self.model.predict_row(features).max(0.0)
+        completion_seconds(self.model.predict_row(features))
     }
 
     /// Batch inference: predict one completion time per row of `features`
-    /// into a reused output buffer (cleared and refilled), clamped
-    /// non-negative. One call walks the whole candidate batch through the
-    /// model's flat trees-outer kernels.
+    /// into a reused output buffer (cleared and refilled), clamped like
+    /// [`CompletionTimePredictor::predict_from_features`]. One call walks
+    /// the whole candidate batch through the model's batch kernels.
     pub fn predict_batch_into(&self, features: &FeatureMatrix, out: &mut Vec<f64>) {
         self.model.predict_into(features, out);
         for v in out.iter_mut() {
-            *v = v.max(0.0);
+            *v = completion_seconds(*v);
         }
     }
 
@@ -223,7 +236,9 @@ impl CompletionTimePredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decision::DecisionModule;
     use crate::features::FeatureGroup;
+    use cluster::NodeId;
     use mlcore::{Dataset, ModelConfig, RandomForestConfig};
     use simcore::rng::Rng;
     use simcore::SimTime;
@@ -330,6 +345,33 @@ mod tests {
         assert!(predictor.predict(&snap, "node-1", &job) >= 0.0);
         let batch = predictor.predict_all(&snap, &["node-1".into(), "node-2".into()], &job);
         assert!(batch.iter().all(|&p| p >= 0.0));
+    }
+
+    #[test]
+    fn nan_predictions_rank_last() {
+        let predictor = trained_predictor(ModelKind::Linear);
+        let schema = predictor.schema();
+        let job = JobRequest::named("sort", WorkloadKind::Sort, 100_000, 2);
+        let snap = snapshot_with(2.0, 2.0);
+        let cpu = schema.index_of("cpu_load").unwrap();
+        // Three identical candidates; the middle one's load is undefined.
+        let mut matrix = FeatureMatrix::new(schema.len());
+        let mut features = schema.construct(&snap, "node-1", &job);
+        for id in 0..3 {
+            features[cpu] = if id == 1 { f64::NAN } else { 2.0 };
+            matrix.push_row(&features);
+        }
+        assert!(predictor.model().predict_row(matrix.row(1)).is_nan());
+        features[cpu] = f64::NAN;
+        assert_eq!(predictor.predict_from_features(&features), f64::INFINITY);
+        let mut scores = Vec::new();
+        predictor.predict_batch_into(&matrix, &mut scores);
+        assert_eq!(scores[1], f64::INFINITY);
+        assert!(scores[0].is_finite() && scores[0] == scores[2]);
+        // Without the mapping the NaN row would score 0 and win the rank.
+        let ranking = DecisionModule.rank(&[NodeId(0), NodeId(1), NodeId(2)], &scores);
+        assert_eq!(ranking.ranked.last().map(|r| r.node), Some(NodeId(1)));
+        assert_eq!(ranking.best().map(|r| r.node), Some(NodeId(0)));
     }
 
     #[test]

@@ -88,7 +88,7 @@ impl RandomForest {
         self.n_features
     }
 
-    /// The fitted trees (flat form each; used by differential tests).
+    /// The fitted trees (packed form each; used by differential tests).
     pub fn trees(&self) -> &[DecisionTree] {
         &self.trees
     }
@@ -107,11 +107,12 @@ impl RandomForest {
         let sample_size =
             ((n as f64) * self.config.sample_fraction.clamp(0.05, 1.0)).round() as usize;
         let sample_size = sample_size.max(1);
+        // `max(1)`: a zero-feature dataset still fits (single-leaf trees)
+        // instead of panicking on an empty clamp range.
+        let feature_cap = self.n_features.max(1);
         let max_features = match self.config.feature_fraction {
-            Some(frac) => {
-                ((self.n_features as f64 * frac).round() as usize).clamp(1, self.n_features)
-            }
-            None => ((self.n_features as f64).sqrt().round() as usize).clamp(1, self.n_features),
+            Some(frac) => ((self.n_features as f64 * frac).round() as usize).clamp(1, feature_cap),
+            None => ((self.n_features as f64).sqrt().round() as usize).clamp(1, feature_cap),
         };
         let tree_config = DecisionTreeConfig {
             max_features: Some(max_features),
@@ -144,14 +145,12 @@ impl RandomForest {
 
     /// Predict every row of a feature matrix into a reused output buffer.
     ///
-    /// Batch accumulation with interleaved row walks: a decision-sized batch
-    /// (≤ [`FlatTree::BLOCK`] rows — the scheduler's candidate set) fetches
-    /// its row slices once and streams every tree through them, so the
-    /// ensemble's node arrays are read exactly once per decision with up to
-    /// a block's worth of dependent-load chains in flight; larger matrices
-    /// run trees-outer over interleaved blocks. Additions happen in the same
-    /// tree order as [`RandomForest::predict_row`], so results are
-    /// bit-identical.
+    /// Batch accumulation with interleaved walks
+    /// ([`FlatTree::accumulate_ensemble`]): the trees are walked in groups
+    /// of [`FlatTree::GROUP`] across blocks of rows, so a decision-sized
+    /// batch reads each tree's nodes once with rows × group dependent-load
+    /// chains in flight. Additions happen per row in the same tree order as
+    /// [`RandomForest::predict_row`], so results are bit-identical.
     pub fn predict_into(&self, x: &FeatureMatrix, out: &mut Vec<f64>) {
         out.clear();
         out.resize(x.n_rows(), 0.0);

@@ -156,7 +156,7 @@ impl GradientBoosting {
             let mut tree = DecisionTree::new(self.config.tree);
             tree.fit_on_matrix(train.matrix(), &residuals, &sample, rng);
 
-            // Update running predictions (batch walk, trees-outer).
+            // Update running predictions (batch walk).
             let lr = self.config.learning_rate;
             tree.predict_into(train.matrix(), &mut tree_predictions);
             for (p, &t) in predictions.iter_mut().zip(&tree_predictions) {
@@ -204,11 +204,10 @@ impl GradientBoosting {
 
     /// Predict every row of a feature matrix into a reused output buffer.
     ///
-    /// Batch accumulation in the same round order as
-    /// [`GradientBoosting::predict_row`], so results are bit-identical:
-    /// decision-sized batches (≤ [`FlatTree::BLOCK`] rows) fetch their row
-    /// slices once and stream every round's tree through them with
-    /// interleaved walks; larger matrices run trees-outer over blocks.
+    /// Batch accumulation ([`FlatTree::accumulate_ensemble`]: the rounds'
+    /// trees walked in groups of [`FlatTree::GROUP`] across blocks of rows)
+    /// in the same round order as [`GradientBoosting::predict_row`], so
+    /// results are bit-identical.
     pub fn predict_into(&self, x: &FeatureMatrix, out: &mut Vec<f64>) {
         out.clear();
         out.resize(x.n_rows(), self.base_prediction);

@@ -477,6 +477,11 @@ fn pruned_bursts_under_live_ingest_use_whole_committed_epochs() {
                 // The budget binds: 3 of 8 feasible nodes get ranked.
                 assert_eq!(decision.ranking.len(), 3);
             }
+            // The burst that saw ingest finished is the last: stop before a
+            // mutation that no later burst would rebuild for.
+            if finished {
+                break;
+            }
             burst += 1;
             // Every few bursts, bind a pod: the generation bump must force
             // exactly one index rebuild on the next burst, mid-ingest.
@@ -496,9 +501,6 @@ fn pruned_bursts_under_live_ingest_use_whole_committed_epochs() {
                     )
                     .expect("zero-request stress pod always fits");
                 mutations += 1;
-            }
-            if finished {
-                break;
             }
         }
         ingest.join().expect("ingest thread");

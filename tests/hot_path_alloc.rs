@@ -9,6 +9,11 @@
 //! deallocate or reallocate at all — not in telemetry indexing, feasibility
 //! filtering, feature construction, batch inference, ranking, or job/manifest
 //! building.
+//!
+//! Counting is armed per thread: libtest runs this file's tests on parallel
+//! threads, and a process-global flag would count the sibling tests'
+//! allocations too. The decision path under test runs entirely on the
+//! calling thread, so a thread-local flag sees every allocation it makes.
 
 use netsched::cluster::{ClusterState, Node, Resources};
 use netsched::core::request::JobRequest;
@@ -21,45 +26,60 @@ use netsched::simnet::{gbps, mbps, Network, NodeId, TopologyBuilder};
 use netsched::sparksim::WorkloadKind;
 use netsched::telemetry::{ScrapeConfig, ScrapeManager};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// Pass-through allocator that counts every heap operation while armed.
+/// Pass-through allocator that counts every heap operation the armed thread
+/// makes.
 struct CountingAllocator;
 
-static ARMED: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static DEALLOCS: AtomicU64 = AtomicU64::new(0);
-static REALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Per-thread heap-operation tallies: `(allocs, deallocs, reallocs)`.
+#[derive(Clone, Copy)]
+struct Tally {
+    armed: bool,
+    counts: (u64, u64, u64),
+}
 
-// ordering: counters are independent tallies with no cross-thread
-// synchronization requirement; the test reads them on the same thread that
-// armed them.
+thread_local! {
+    // `const`-initialized and drop-free, so the allocator can touch it at
+    // any point of a thread's life without allocating or recursing.
+    static TALLY: Cell<Tally> = const {
+        Cell::new(Tally {
+            armed: false,
+            counts: (0, 0, 0),
+        })
+    };
+}
+
+/// Count one heap operation on the current thread if it is armed.
+fn count(op: fn(&mut (u64, u64, u64))) {
+    // `try_with`: a thread that is tearing down its locals is never armed.
+    let _ = TALLY.try_with(|tally| {
+        let mut t = tally.get();
+        if t.armed {
+            op(&mut t.counts);
+            tally.set(t);
+        }
+    });
+}
+
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count(|c| c.0 += 1);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count(|c| c.0 += 1);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        if ARMED.load(Ordering::Relaxed) {
-            DEALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count(|c| c.1 += 1);
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            REALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count(|c| c.2 += 1);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -67,20 +87,22 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+/// Start counting this thread's heap operations from zero.
 fn arm() {
-    ALLOCS.store(0, Ordering::Relaxed);
-    DEALLOCS.store(0, Ordering::Relaxed);
-    REALLOCS.store(0, Ordering::Relaxed);
-    ARMED.store(true, Ordering::Relaxed);
+    TALLY.set(Tally {
+        armed: true,
+        counts: (0, 0, 0),
+    });
 }
 
+/// Stop counting and return this thread's `(allocs, deallocs, reallocs)`.
 fn disarm() -> (u64, u64, u64) {
-    ARMED.store(false, Ordering::Relaxed);
-    (
-        ALLOCS.load(Ordering::Relaxed),
-        DEALLOCS.load(Ordering::Relaxed),
-        REALLOCS.load(Ordering::Relaxed),
-    )
+    let tally = TALLY.get();
+    TALLY.set(Tally {
+        armed: false,
+        ..tally
+    });
+    tally.counts
 }
 
 /// A 4-node, 2-site world with a scraped telemetry round.
@@ -125,7 +147,6 @@ fn trained_service_with(
     let mut service = SchedulerService::new(
         SchedulerConfig {
             min_training_samples: 20,
-            model_kind: ModelKind::Linear,
             ..config
         },
         7,
@@ -142,15 +163,44 @@ fn trained_service_with(
     service
 }
 
-fn trained_service(cluster: &ClusterState, scrape: &ScrapeManager) -> SchedulerService {
-    trained_service_with(cluster, scrape, SchedulerConfig::default())
+/// A service trained with the given model family and default settings.
+fn trained_service(
+    cluster: &ClusterState,
+    scrape: &ScrapeManager,
+    model_kind: ModelKind,
+) -> SchedulerService {
+    trained_service_with(
+        cluster,
+        scrape,
+        SchedulerConfig {
+            model_kind,
+            ..Default::default()
+        },
+    )
 }
 
 #[test]
 fn steady_state_schedule_batch_burst_is_allocation_free() {
+    assert_supervised_bursts_are_allocation_free(ModelKind::Linear);
+}
+
+#[test]
+fn steady_state_random_forest_burst_is_allocation_free() {
+    // The forest ranks each candidate batch through the grouped tree walk
+    // (stack-held cursors and row slices); it must stay heap-free too.
+    assert_supervised_bursts_are_allocation_free(ModelKind::RandomForest);
+}
+
+/// Warm a supervised service of `model_kind`, then require ten whole
+/// `schedule_batch_into` bursts to make zero heap operations.
+fn assert_supervised_bursts_are_allocation_free(model_kind: ModelKind) {
     let (cluster, _network, mut scrape) = test_world();
     let published = scrape.published_handle();
-    let mut service = trained_service(&cluster, &scrape);
+    let mut service = trained_service(&cluster, &scrape, model_kind);
+    assert_eq!(
+        service.predictor().map(|p| p.model_kind()),
+        Some(model_kind)
+    );
 
     let requests: Vec<JobRequest> = (0..8).map(request).collect();
     let now = SimTime::from_secs(3);
@@ -177,7 +227,7 @@ fn steady_state_schedule_batch_burst_is_allocation_free() {
     assert_eq!(
         (allocs, deallocs, reallocs),
         (0, 0, 0),
-        "steady-state schedule_batch bursts must be allocation-free \
+        "steady-state {model_kind} schedule_batch bursts must be allocation-free \
          (allocs={allocs} deallocs={deallocs} reallocs={reallocs})"
     );
 
@@ -209,6 +259,7 @@ fn steady_state_pruned_bursts_are_allocation_free() {
         &cluster,
         &scrape,
         SchedulerConfig {
+            model_kind: ModelKind::Linear,
             prune_top_k: Some(2),
             ..Default::default()
         },

@@ -1,14 +1,17 @@
 //! Differential property tests for the flat, batch-first model layer.
 //!
-//! The model stack was rewritten around struct-of-arrays [`FlatTree`]s and
-//! batch inference (`predict_into` / trees-outer accumulation). These tests
-//! pin the rewrite against the canonical nested-node reference: an enum walk
-//! over [`TreeNode`]s — the representation trees serialize as — re-implemented
+//! The model stack runs on packed 16-byte-node [`FlatTree`]s and batch
+//! inference (`predict_into`: groups of trees walked across blocks of rows).
+//! These tests pin it
+//! against the canonical nested-node reference: an enum walk over
+//! [`TreeNode`]s — the representation trees serialize as — re-implemented
 //! the obvious way. For random fitted trees, forests and GBDTs (including
-//! degenerate stumps, single-leaf trees and empty batches) the flat scalar
-//! walk, the batch kernel and the reference must agree **exactly** (bit
-//! identity, not tolerance), and serde round-trips through the canonical form
-//! must re-flatten to the same predictions.
+//! degenerate stumps, single-leaf and zero-feature trees, tree counts that
+//! are not multiples of the walk's group size, batches of one and of several
+//! row blocks, non-finite features and empty batches) the scalar walk, the
+//! batch kernel and the reference must agree **exactly** (bit identity,
+//! not tolerance), and serde round-trips through the canonical form must
+//! re-pack to the same trees and predictions.
 
 use netsched::mlcore::{
     Dataset, DecisionTree, DecisionTreeConfig, FeatureMatrix, FlatTree, GradientBoosting,
@@ -80,18 +83,70 @@ fn dataset_from(values: &[f64], width: usize) -> Dataset {
     data
 }
 
-/// Probe rows: every training row plus a few out-of-distribution ones.
+/// Probe rows: every training row plus out-of-distribution and non-finite
+/// ones.
 fn probe_matrix(data: &Dataset) -> FeatureMatrix {
     let width = data.n_features();
     let mut probes = FeatureMatrix::new(width);
     for i in 0..data.len() {
         probes.push_row(data.row(i));
     }
-    for v in [-1e9, 0.0, 0.5, 1e9] {
+    for v in [
+        -1e9,
+        0.0,
+        0.5,
+        1e9,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ] {
         let row = probes.add_row();
         row.fill(v);
     }
     probes
+}
+
+/// Bit patterns of a prediction vector, so NaN outputs compare equal to
+/// themselves.
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The first `n` rows of `pool` as their own matrix.
+fn first_rows(pool: &FeatureMatrix, n: usize) -> FeatureMatrix {
+    let mut m = FeatureMatrix::new(pool.n_features());
+    for i in 0..n {
+        m.push_row(pool.row(i));
+    }
+    m
+}
+
+/// Row counts on both sides of one row block (`FlatTree::BLOCK` = 16): a
+/// single block's row slices are fetched once for every tree group, a
+/// larger batch walks each group block by block. Includes empty and
+/// single-row batches.
+const BATCH_SIZES: [usize; 5] = [0, 1, 6, 16, 17];
+
+/// A 17-row probe pool of width 3 that interleaves in-range rows with NaN,
+/// ±∞ and mixed non-finite features, so every batch size sees them.
+fn nonfinite_pool(data: &Dataset) -> FeatureMatrix {
+    let special = [
+        [f64::NAN, f64::NAN, f64::NAN],
+        [f64::INFINITY, f64::NEG_INFINITY, f64::NAN],
+        [f64::NEG_INFINITY, f64::NEG_INFINITY, f64::NEG_INFINITY],
+        [f64::INFINITY, f64::INFINITY, f64::INFINITY],
+        [f64::NAN, 50.0, f64::NEG_INFINITY],
+        [25.0, f64::NAN, f64::INFINITY],
+    ];
+    let mut pool = FeatureMatrix::new(3);
+    let mut next_special = special.iter();
+    for i in 0..17 {
+        match next_special.next().filter(|_| i % 3 == 0) {
+            Some(row) => pool.push_row(row),
+            None => pool.push_row(data.row(i)),
+        }
+    }
+    pool
 }
 
 proptest! {
@@ -222,9 +277,10 @@ proptest! {
             let mut reloaded = Vec::new();
             model.predict_into(&probes, &mut original);
             restored.predict_into(&probes, &mut reloaded);
-            prop_assert_eq!(&original, &reloaded);
+            // Bitwise: a linear model maps the NaN probe row to NaN.
+            prop_assert_eq!(bits(&original), bits(&reloaded));
             for (i, &expected) in original.iter().enumerate() {
-                prop_assert_eq!(restored.predict_row(probes.row(i)), expected);
+                prop_assert_eq!(restored.predict_row(probes.row(i)).to_bits(), expected.to_bits());
             }
         }
     }
@@ -276,4 +332,191 @@ fn nan_features_follow_the_enum_walk_direction() {
     let mut batch = Vec::new();
     tree.predict_into(&probes, &mut batch);
     assert_eq!(batch[0], reference_walk(&nodes, &nan_row));
+}
+
+/// Random forests and GBDTs of every tree count from 1 to 17 — full groups
+/// of the decision-sized walk plus every remainder — predict every batch
+/// size bit-identically to the enum-walk reference and to their own
+/// per-row path, on rows with NaN and ±∞ features. Each tree re-packs from
+/// its canonical form to an equal tree.
+#[test]
+fn grouped_walk_matches_reference_for_every_tree_count_and_batch_size() {
+    let mut rng = Rng::seed_from_u64(41);
+    let values: Vec<f64> = (0..4 * 150).map(|_| rng.uniform(0.0, 100.0)).collect();
+    let data = dataset_from(&values, 3);
+    let pool = nonfinite_pool(&data);
+    let mut out = Vec::new();
+    for n_trees in 1..=17 {
+        let mut forest = RandomForest::new(RandomForestConfig {
+            n_trees,
+            workers: 1,
+            tree: DecisionTreeConfig {
+                max_depth: 7,
+                ..Default::default()
+            },
+            ..Default::default()
+        });
+        forest.fit(&data, &mut rng);
+        assert_eq!(forest.tree_count(), n_trees);
+        let mut gbdt = GradientBoosting::new(GradientBoostingConfig {
+            n_rounds: n_trees,
+            validation_fraction: 0.0,
+            ..Default::default()
+        });
+        gbdt.fit(&data, &mut rng);
+        assert_eq!(gbdt.trees().len(), n_trees);
+
+        for tree in forest.trees().iter().chain(gbdt.trees()) {
+            let repacked = FlatTree::from_nodes(&tree.flat().to_nodes()).unwrap();
+            assert_eq!(&repacked, tree.flat());
+        }
+        for rows in BATCH_SIZES {
+            let batch = first_rows(&pool, rows);
+            forest.predict_into(&batch, &mut out);
+            assert_eq!(out.len(), rows);
+            for (i, &got) in out.iter().enumerate() {
+                let row = batch.row(i);
+                let reference = reference_forest(&forest, row);
+                assert_eq!(got, reference, "forest of {n_trees}, {rows} rows, row {i}");
+                assert_eq!(forest.predict_row(row), reference);
+            }
+            gbdt.predict_into(&batch, &mut out);
+            assert_eq!(out.len(), rows);
+            for (i, &got) in out.iter().enumerate() {
+                let row = batch.row(i);
+                let reference = reference_gbdt(&gbdt, row);
+                assert_eq!(got, reference, "gbdt of {n_trees}, {rows} rows, row {i}");
+                assert_eq!(gbdt.predict_row(row), reference);
+            }
+        }
+    }
+}
+
+/// `FlatTree::accumulate_ensemble` over a hand-built mix of single-leaf,
+/// empty, shallow and deep trees with per-tree scales — the groups of the
+/// decision-sized walk mix depths — equals the reference sum in tree order;
+/// an empty (never fitted) tree contributes nothing.
+#[test]
+fn mixed_depth_ensembles_accumulate_in_tree_order() {
+    let leaf = |prediction: f64| TreeNode::Leaf {
+        prediction,
+        samples: 1,
+    };
+    let split = |feature: usize, threshold: f64, left: usize, right: usize| TreeNode::Split {
+        feature,
+        threshold,
+        left,
+        right,
+        samples: 2,
+    };
+    // A chain of `depth` splits on feature `f`, in canonical preorder:
+    // split i's left child is split i + 1 (the last one's is leaf -1), its
+    // right child a leaf emitted after the whole left subtree.
+    let chain = |depth: usize, f: usize| -> Vec<TreeNode> {
+        let mut nodes: Vec<TreeNode> = (0..depth)
+            .map(|i| split(f, 10.0 * i as f64, i + 1, 2 * depth - i))
+            .collect();
+        nodes.push(leaf(-1.0));
+        nodes.extend((0..depth).rev().map(|i| leaf(i as f64 + 0.25)));
+        nodes
+    };
+    let canonical: Vec<Vec<TreeNode>> = vec![
+        vec![leaf(3.5)],
+        Vec::new(),
+        chain(1, 0),
+        vec![
+            split(1, 5.0, 1, 4),
+            split(0, 2.0, 2, 3),
+            leaf(1.0),
+            leaf(2.0),
+            leaf(4.0),
+        ],
+        chain(9, 2),
+        vec![leaf(-7.0)],
+        chain(3, 1),
+        chain(30, 0),
+        vec![leaf(0.125)],
+        // Deeper than the fixed-pass walk handles: its group walks until
+        // no cursor moves.
+        chain(70, 1),
+    ];
+    let trees: Vec<FlatTree> = canonical
+        .iter()
+        .map(|nodes| FlatTree::from_nodes(nodes).unwrap())
+        .collect();
+    for (tree, nodes) in trees.iter().zip(&canonical) {
+        assert_eq!(&tree.to_nodes(), nodes, "canonical form round-trips");
+    }
+    let mut pool = FeatureMatrix::new(3);
+    for i in 0..17 {
+        let v = 17.0 * i as f64 - 20.0;
+        pool.push_row(&[v, 0.5 * v, 300.0 - v]);
+    }
+    pool.row_mut(3).fill(f64::NAN);
+    pool.row_mut(8)
+        .copy_from_slice(&[f64::INFINITY, f64::NEG_INFINITY, f64::NAN]);
+    for count in 1..=trees.len() {
+        let scales: Vec<f64> = (0..count).map(|t| 0.5 + t as f64 / 3.0).collect();
+        for rows in BATCH_SIZES {
+            let batch = first_rows(&pool, rows);
+            let mut out = vec![0.0; rows];
+            FlatTree::accumulate_ensemble(
+                trees[..count].iter().zip(scales.iter().copied()),
+                &batch,
+                &mut out,
+            );
+            for (i, &got) in out.iter().enumerate() {
+                let mut reference = 0.0;
+                for (nodes, scale) in canonical[..count].iter().zip(&scales) {
+                    if !nodes.is_empty() {
+                        reference += scale * reference_walk(nodes, batch.row(i));
+                    }
+                }
+                assert_eq!(got, reference, "{count} trees, {rows} rows, row {i}");
+            }
+        }
+    }
+}
+
+/// Trees fitted on zero feature columns are single leaves predicting the
+/// target mean; forests and GBDTs of them predict zero-width batches of
+/// every size without reading a feature.
+#[test]
+fn zero_feature_models_predict_every_batch_size() {
+    let mut data = Dataset::new(Vec::new());
+    for i in 0..40 {
+        data.push_row(&[], (i % 7) as f64).unwrap();
+    }
+    let mut rng = Rng::seed_from_u64(5);
+    let mut tree = DecisionTree::default();
+    tree.fit(&data, &mut rng);
+    assert_eq!((tree.node_count(), tree.depth()), (1, 0));
+    let mut forest = RandomForest::new(RandomForestConfig {
+        n_trees: 5,
+        workers: 1,
+        ..Default::default()
+    });
+    forest.fit(&data, &mut rng);
+    let mut gbdt = GradientBoosting::new(GradientBoostingConfig {
+        n_rounds: 6,
+        validation_fraction: 0.0,
+        ..Default::default()
+    });
+    gbdt.fit(&data, &mut rng);
+    let mut out = Vec::new();
+    for rows in BATCH_SIZES {
+        let mut batch = FeatureMatrix::new(0);
+        for _ in 0..rows {
+            batch.push_row(&[]);
+        }
+        tree.predict_into(&batch, &mut out);
+        assert_eq!(
+            out,
+            vec![reference_walk(&tree.canonical_nodes(), &[]); rows]
+        );
+        forest.predict_into(&batch, &mut out);
+        assert_eq!(out, vec![reference_forest(&forest, &[]); rows]);
+        gbdt.predict_into(&batch, &mut out);
+        assert_eq!(out, vec![reference_gbdt(&gbdt, &[]); rows]);
+    }
 }
