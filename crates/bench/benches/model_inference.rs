@@ -13,6 +13,11 @@
 //!   rows. Predictions are bit-identical to the per-row path (pinned by
 //!   `tests/model_batch.rs`); only wall-clock changes.
 //! * `single_row/<family>` — one-candidate floor, for reference.
+//! * `features_64x24/{per_row,job_row}` — feature construction for one
+//!   burst of 24 jobs over 64 nodes (the `mesh64_ingest` shape): every row
+//!   through `construct_into_matrix`, against the decision path's job row
+//!   built once per job (`job_row_into`) and copied into 64 candidate rows
+//!   (`candidate_row_into`). The two matrices must be bit-identical.
 //!
 //! Medians are printed criterion-style and written to
 //! `results/BENCH_model.json`. Run `-- --smoke` for a 1-round smoke (used by
@@ -20,6 +25,7 @@
 
 use bench::measure;
 use mlcore::{FeatureMatrix, ModelKind};
+use netsched_core::features::{FeatureSchema, FeatureVector};
 use netsched_core::predictor::CompletionTimePredictor;
 use netsched_core::request::JobRequest;
 use sparksim::WorkloadKind;
@@ -48,6 +54,58 @@ fn candidate_matrix(predictor: &CompletionTimePredictor, job: &JobRequest) -> Fe
         schema.construct_into_matrix(&mut matrix, &node, rtt_stats, job);
     }
     matrix
+}
+
+/// Nodes and jobs of the `features_64x24` burst.
+const BURST_NODES: usize = 64;
+const BURST_JOBS: usize = 24;
+
+/// Per-node telemetry and RTT statistics of the 64-node burst world.
+fn burst_nodes() -> Vec<(NodeTelemetry, (f64, f64, f64))> {
+    (0..BURST_NODES)
+        .map(|i| {
+            let f = i as f64;
+            let node = NodeTelemetry {
+                cpu_load: 0.1 * f,
+                memory_available_bytes: 1e9 + 1e8 * f,
+                tx_rate: 3e4 * f,
+                rx_rate: 5e4 * f,
+            };
+            (node, (0.001 * (f + 1.0), 0.030 + 0.001 * f, 0.0005 * f))
+        })
+        .collect()
+}
+
+/// Build the burst's 24 × 64 rows into `matrix`, every row cell by cell.
+fn burst_per_row(
+    schema: &FeatureSchema,
+    nodes: &[(NodeTelemetry, (f64, f64, f64))],
+    jobs: &[JobRequest],
+    matrix: &mut FeatureMatrix,
+) {
+    matrix.reset(schema.len());
+    for job in jobs {
+        for (node, rtt_stats) in nodes {
+            schema.construct_into_matrix(matrix, node, *rtt_stats, job);
+        }
+    }
+}
+
+/// Build the same rows from one job row per job plus telemetry columns.
+fn burst_job_row(
+    schema: &FeatureSchema,
+    nodes: &[(NodeTelemetry, (f64, f64, f64))],
+    jobs: &[JobRequest],
+    job_row: &mut FeatureVector,
+    matrix: &mut FeatureMatrix,
+) {
+    matrix.reset(schema.len());
+    for job in jobs {
+        schema.job_row_into(job_row, job);
+        for (node, rtt_stats) in nodes {
+            schema.candidate_row_into(matrix, job_row, node, *rtt_stats);
+        }
+    }
 }
 
 struct FamilyResult {
@@ -79,6 +137,40 @@ fn main() {
         }
     };
     let job = JobRequest::named("bench-sort", WorkloadKind::Sort, 250_000, 2);
+
+    let schema = logger.schema();
+    let nodes = burst_nodes();
+    let jobs: Vec<JobRequest> = (0..BURST_JOBS)
+        .map(|i| {
+            let kind = WorkloadKind::ALL[i % WorkloadKind::ALL.len()];
+            JobRequest::named(format!("burst-{i}"), kind, 100_000 + 5_000 * i as u64, 2)
+        })
+        .collect();
+    let mut per_row = FeatureMatrix::new(schema.len());
+    let mut split = FeatureMatrix::new(schema.len());
+    let mut job_row = FeatureVector::new();
+    let features_per_row_ns = measure("model_inference/features_64x24/per_row", rounds, || {
+        burst_per_row(schema, &nodes, black_box(&jobs), &mut per_row);
+        black_box(per_row.n_rows())
+    });
+    let features_job_row_ns = measure("model_inference/features_64x24/job_row", rounds, || {
+        burst_job_row(schema, &nodes, black_box(&jobs), &mut job_row, &mut split);
+        black_box(split.n_rows())
+    });
+    // The job-row path must build the very same floats.
+    burst_per_row(schema, &nodes, &jobs, &mut per_row);
+    burst_job_row(schema, &nodes, &jobs, &mut job_row, &mut split);
+    assert_eq!(per_row.n_rows(), BURST_NODES * BURST_JOBS);
+    let bits = |m: &FeatureMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(&per_row),
+        bits(&split),
+        "job-row and per-row feature matrices diverged"
+    );
+    println!(
+        "model_inference/features_64x24: job-row speedup over per-row construction: {:.2}x",
+        features_per_row_ns / features_job_row_ns.max(1.0)
+    );
 
     let mut results: Vec<FamilyResult> = Vec::new();
     for kind in ModelKind::ALL {
@@ -141,7 +233,7 @@ fn main() {
     }
 
     let mut json = format!(
-        "{{\n  \"cores\": {},\n  \"candidates\": {CANDIDATES}",
+        "{{\n  \"cores\": {},\n  \"candidates\": {CANDIDATES},\n  \"features_64x24_per_row_ns\": {features_per_row_ns:.0},\n  \"features_64x24_job_row_ns\": {features_job_row_ns:.0}",
         simcore::parallel::default_workers()
     );
     for r in &results {

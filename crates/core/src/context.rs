@@ -128,6 +128,10 @@ pub struct ContextScratch {
     /// The current burst number; boards from earlier bursts are stale (their
     /// scores read retired telemetry) and get recycled in place.
     board_epoch: u64,
+    /// The current decision's job half of a feature row
+    /// ([`crate::features::FeatureSchema::job_row_into`]): filled once per
+    /// decision, copied into every candidate row.
+    job_row: Vec<f64>,
     /// Scratch for building the signature row without allocating.
     sig_scratch: Vec<f64>,
     /// The model-pruned candidate set (supervised stage-1 output).
@@ -429,9 +433,11 @@ impl<'a> SchedulingContext<'a> {
     }
 
     /// Rank the (pruned) feasible candidates by supervised completion-time
-    /// predictions via **one batch inference call**: the candidate × feature
-    /// matrix is constructed row by row into the context's contiguous
-    /// scratch, then the whole batch walks the model's trees at once, instead
+    /// predictions via **one batch inference call**: the job half of the
+    /// feature row is built once ([`crate::features::FeatureSchema::job_row_into`]),
+    /// the candidate × feature matrix is filled row by row from it into the
+    /// context's contiguous scratch (only telemetry columns are written per
+    /// candidate), then the whole batch walks the model's trees at once, instead
     /// of re-walking every tree per candidate. The ranking is built into `out`, reusing its buffer, and
     /// every intermediate lives in the context's scratch — a steady-state
     /// decision touches no heap.
@@ -466,18 +472,19 @@ impl<'a> SchedulingContext<'a> {
         predictor: &CompletionTimePredictor,
         out: &mut NodeRanking,
     ) {
+        let schema = predictor.schema();
+        schema.job_row_into(&mut self.scratch.job_row, request);
         let feasible_len = self.feasible_candidates(request).len();
         let mut use_model = false;
         let count = match self.top_k {
             Some(k) if k < feasible_len && self.policy == PruningPolicy::ModelAligned => {
                 use_model = true;
-                let board = self.sync_coarse_scores(request, predictor);
+                let board = self.sync_coarse_scores(predictor);
                 self.model_pruned_for(request, k, board);
                 self.scratch.model_pruned.len()
             }
             _ => self.pruned_candidates(request).len(),
         };
-        let schema = predictor.schema();
         self.scratch.features.reset(schema.len());
         for i in 0..count {
             let id = if use_model {
@@ -487,7 +494,12 @@ impl<'a> SchedulingContext<'a> {
             };
             let node = self.scratch.telemetry.node(id).copied().unwrap_or_default();
             let rtt_stats = self.scratch.telemetry.rtt_stats(id);
-            schema.construct_into_matrix(&mut self.scratch.features, &node, rtt_stats, request);
+            schema.candidate_row_into(
+                &mut self.scratch.features,
+                &self.scratch.job_row,
+                &node,
+                rtt_stats,
+            );
         }
         predictor.predict_batch_into(&self.scratch.features, &mut self.scratch.predictions);
         let ranked: &[NodeId] = if use_model {
@@ -507,8 +519,9 @@ impl<'a> SchedulingContext<'a> {
 
     /// Ensure a coarse scoreboard covering every node exists for this
     /// (predictor, job-signature cell) pair, and return its index in the
-    /// pool. The signature is the job's feature row over a default node,
-    /// collapsed to the model's own partition cells
+    /// pool. The signature is the decision's job row (already in scratch;
+    /// its telemetry columns read 0, as for a default node), collapsed to
+    /// the model's own partition cells
     /// ([`CompletionTimePredictor::signature_cells`]): every job whose
     /// columns land in the same inter-threshold cells shares one board, and
     /// — because equal cells mean identical tree paths — shares the *exact*
@@ -520,19 +533,11 @@ impl<'a> SchedulingContext<'a> {
     /// request streams that alternate workload classes don't thrash a single
     /// cache slot, and stale boards from earlier bursts (retired telemetry)
     /// are recycled in place, buffers and all.
-    fn sync_coarse_scores(
-        &mut self,
-        request: &JobRequest,
-        predictor: &CompletionTimePredictor,
-    ) -> usize {
+    fn sync_coarse_scores(&mut self, predictor: &CompletionTimePredictor) -> usize {
         let schema = predictor.schema();
         let mut sig = std::mem::take(&mut self.scratch.sig_scratch);
-        schema.construct_into(
-            &mut sig,
-            &NodeTelemetry::default(),
-            (0.0, 0.0, 0.0),
-            request,
-        );
+        sig.clear();
+        sig.extend_from_slice(&self.scratch.job_row);
         predictor.signature_cells(&mut sig);
         let ident = (
             std::ptr::from_ref(predictor) as usize,
@@ -582,11 +587,11 @@ impl<'a> SchedulingContext<'a> {
                     let id = NodeId(idx as u32);
                     let node = self.scratch.telemetry.node(id).copied().unwrap_or_default();
                     let rtt_stats = self.scratch.telemetry.rtt_stats(id);
-                    schema.construct_into_matrix(
+                    schema.candidate_row_into(
                         &mut self.scratch.features,
+                        &self.scratch.job_row,
                         &node,
                         rtt_stats,
-                        request,
                     );
                 }
                 predictor.predict_batch_into(

@@ -16,6 +16,24 @@
 //!
 //! The schema is fixed and versioned by position so a model trained offline
 //! keeps working when re-loaded by a long-running scheduler.
+//!
+//! **Typed column plan.** A schema's serialized form is its column names and
+//! groups. Each name is resolved once, when the schema is built or loaded,
+//! into a typed column, and the positions of the telemetry (network and
+//! node) columns are recorded. Rows are then filled without comparing
+//! strings: job columns by a `match` over the typed column, telemetry
+//! columns by copying the candidate's seven telemetry values to their
+//! recorded positions. Loading rejects an archive whose names and groups
+//! differ in length, that repeats a column, names a column the constructor
+//! does not know, or tags a column with the wrong group — a misspelled name
+//! would otherwise feed the model an all-zero feature.
+//!
+//! A decision ranks many candidates for one job, so the hot path splits a
+//! row in two: [`FeatureSchema::job_row_into`] fills the job columns once per
+//! decision (telemetry columns read 0, as for an unscraped node), and
+//! [`FeatureSchema::candidate_row_into`] copies that row per candidate and
+//! overwrites only the telemetry columns. Every construction path is built
+//! from these two halves, so all paths produce bit-identical rows.
 
 use crate::request::JobRequest;
 use mlcore::FeatureMatrix;
@@ -35,11 +53,169 @@ pub enum FeatureGroup {
     Job,
 }
 
+/// One resolved feature column: what a schema name means (see
+/// [`Column::name`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Column {
+    RttMean,
+    RttMax,
+    RttStd,
+    TxRate,
+    RxRate,
+    CpuLoad,
+    MemoryAvailable,
+    App(WorkloadKind),
+    InputRecords,
+    ExecutorCount,
+    ExecutorCores,
+    ExecutorMemoryGb,
+    ShufflePartitions,
+}
+
+impl Column {
+    /// Every column, in the standard (Table 1) order.
+    fn standard() -> impl Iterator<Item = Column> {
+        use Column::*;
+        [
+            RttMean,
+            RttMax,
+            RttStd,
+            TxRate,
+            RxRate,
+            CpuLoad,
+            MemoryAvailable,
+        ]
+        .into_iter()
+        .chain(WorkloadKind::ALL.map(App))
+        .chain([
+            InputRecords,
+            ExecutorCount,
+            ExecutorCores,
+            ExecutorMemoryGb,
+            ShufflePartitions,
+        ])
+    }
+
+    /// The column's name in a schema.
+    fn name(self) -> String {
+        match self {
+            Column::RttMean => "rtt_mean_s".into(),
+            Column::RttMax => "rtt_max_s".into(),
+            Column::RttStd => "rtt_std_s".into(),
+            Column::TxRate => "tx_rate_bps".into(),
+            Column::RxRate => "rx_rate_bps".into(),
+            Column::CpuLoad => "cpu_load".into(),
+            Column::MemoryAvailable => "memory_available_bytes".into(),
+            Column::App(kind) => format!("app_{}", kind.as_str()),
+            Column::InputRecords => "input_records".into(),
+            Column::ExecutorCount => "executor_count".into(),
+            Column::ExecutorCores => "executor_cores".into(),
+            Column::ExecutorMemoryGb => "executor_memory_gb".into(),
+            Column::ShufflePartitions => "shuffle_partitions".into(),
+        }
+    }
+
+    /// The column's Table 1 group.
+    fn group(self) -> FeatureGroup {
+        match self {
+            Column::RttMean | Column::RttMax | Column::RttStd | Column::TxRate | Column::RxRate => {
+                FeatureGroup::Network
+            }
+            Column::CpuLoad | Column::MemoryAvailable => FeatureGroup::Node,
+            _ => FeatureGroup::Job,
+        }
+    }
+
+    /// Resolve a schema name (load time only).
+    fn from_name(name: &str) -> Option<Column> {
+        Column::standard().find(|column| column.name() == name)
+    }
+
+    /// Where a telemetry column reads from in [`telemetry_values`]; `None`
+    /// for a job column.
+    fn telemetry_source(self) -> Option<usize> {
+        Some(match self {
+            Column::RttMean => 0,
+            Column::RttMax => 1,
+            Column::RttStd => 2,
+            Column::TxRate => 3,
+            Column::RxRate => 4,
+            Column::CpuLoad => 5,
+            Column::MemoryAvailable => 6,
+            _ => return None,
+        })
+    }
+
+    /// The value of a job column. Telemetry columns read 0, the value of
+    /// missing (default) telemetry.
+    #[inline]
+    fn job_value(self, job: &JobRequest) -> f64 {
+        let workload = &job.workload;
+        match self {
+            Column::App(kind) if kind == workload.kind => 1.0,
+            Column::InputRecords => workload.input_records as f64,
+            Column::ExecutorCount => workload.executor_count as f64,
+            Column::ExecutorCores => workload.executor_cores as f64,
+            Column::ExecutorMemoryGb => {
+                workload.executor_memory_bytes as f64 / (1024.0 * 1024.0 * 1024.0)
+            }
+            Column::ShufflePartitions => workload.shuffle_partitions as f64,
+            // Another application's one-hot column, or a telemetry column.
+            _ => 0.0,
+        }
+    }
+}
+
+/// A candidate's telemetry columns, indexed by [`Column::telemetry_source`].
+#[inline]
+fn telemetry_values(node: &NodeTelemetry, rtt_stats: (f64, f64, f64)) -> [f64; 7] {
+    let (rtt_mean, rtt_max, rtt_std) = rtt_stats;
+    [
+        rtt_mean,
+        rtt_max,
+        rtt_std,
+        node.tx_rate,
+        node.rx_rate,
+        node.cpu_load,
+        node.memory_available_bytes,
+    ]
+}
+
 /// A named, grouped feature schema with a stable column order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeatureSchema {
     names: Vec<String>,
     groups: Vec<FeatureGroup>,
+    /// `names` resolved to typed columns when the schema is built or loaded.
+    /// Derived state — not serialized, like `telemetry`.
+    columns: Vec<Column>,
+    /// `(row position, telemetry source)` of every telemetry column.
+    telemetry: Vec<(usize, usize)>,
+}
+
+/// The serialized form: names and groups only; the columns are resolved
+/// (and the archive validated) on load.
+#[derive(Serialize, Deserialize)]
+struct SchemaArchive {
+    names: Vec<String>,
+    groups: Vec<FeatureGroup>,
+}
+
+impl Serialize for FeatureSchema {
+    fn serialize_value(&self) -> serde::Value {
+        SchemaArchive {
+            names: self.names.clone(),
+            groups: self.groups.clone(),
+        }
+        .serialize_value()
+    }
+}
+
+impl Deserialize for FeatureSchema {
+    fn deserialize_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let archive = SchemaArchive::deserialize_value(v)?;
+        FeatureSchema::resolve(&archive.names, &archive.groups).map_err(serde::Error::custom)
+    }
 }
 
 /// One constructed feature vector (aligned with a [`FeatureSchema`]).
@@ -54,42 +230,60 @@ impl Default for FeatureSchema {
 impl FeatureSchema {
     /// The full Table 1 schema.
     pub fn standard() -> Self {
-        let mut names: Vec<String> = Vec::new();
-        let mut groups: Vec<FeatureGroup> = Vec::new();
-        let mut push = |name: &str, group: FeatureGroup| {
-            names.push(name.to_string());
-            groups.push(group);
-        };
-        push("rtt_mean_s", FeatureGroup::Network);
-        push("rtt_max_s", FeatureGroup::Network);
-        push("rtt_std_s", FeatureGroup::Network);
-        push("tx_rate_bps", FeatureGroup::Network);
-        push("rx_rate_bps", FeatureGroup::Network);
-        push("cpu_load", FeatureGroup::Node);
-        push("memory_available_bytes", FeatureGroup::Node);
-        for kind in WorkloadKind::ALL {
-            push(&format!("app_{}", kind.as_str()), FeatureGroup::Job);
-        }
-        push("input_records", FeatureGroup::Job);
-        push("executor_count", FeatureGroup::Job);
-        push("executor_cores", FeatureGroup::Job);
-        push("executor_memory_gb", FeatureGroup::Job);
-        push("shuffle_partitions", FeatureGroup::Job);
-        FeatureSchema { names, groups }
+        Self::from_columns(Column::standard().collect())
     }
 
     /// A schema restricted to the given groups (ablation variants).
     pub fn with_groups(groups_to_keep: &[FeatureGroup]) -> Self {
-        let full = Self::standard();
-        let mut names = Vec::new();
-        let mut groups = Vec::new();
-        for (name, group) in full.names.into_iter().zip(full.groups) {
-            if groups_to_keep.contains(&group) {
-                names.push(name);
-                groups.push(group);
-            }
+        Self::from_columns(
+            Column::standard()
+                .filter(|column| groups_to_keep.contains(&column.group()))
+                .collect(),
+        )
+    }
+
+    /// Assemble a schema from its columns, recording where its telemetry
+    /// columns sit.
+    fn from_columns(columns: Vec<Column>) -> Self {
+        FeatureSchema {
+            names: columns.iter().map(|column| column.name()).collect(),
+            groups: columns.iter().map(|column| column.group()).collect(),
+            telemetry: columns
+                .iter()
+                .enumerate()
+                .filter_map(|(at, column)| Some((at, column.telemetry_source()?)))
+                .collect(),
+            columns,
         }
-        FeatureSchema { names, groups }
+    }
+
+    /// Resolve a loaded archive's names into columns, rejecting archives
+    /// the constructor cannot honour.
+    fn resolve(names: &[String], groups: &[FeatureGroup]) -> Result<Self, String> {
+        if names.len() != groups.len() {
+            return Err(format!(
+                "feature schema has {} names but {} groups",
+                names.len(),
+                groups.len()
+            ));
+        }
+        let mut columns = Vec::with_capacity(names.len());
+        for (name, &group) in names.iter().zip(groups) {
+            let column = Column::from_name(name)
+                .ok_or_else(|| format!("unknown feature column `{name}`"))?;
+            if columns.contains(&column) {
+                return Err(format!("feature column `{name}` appears twice"));
+            }
+            if column.group() != group {
+                return Err(format!(
+                    "feature column `{name}` is tagged {group:?}, not {:?}",
+                    column.group()
+                ));
+            }
+            columns.push(column);
+        }
+        // The archive's names and groups are exactly the columns' own.
+        Ok(Self::from_columns(columns))
     }
 
     /// Column names in order.
@@ -134,50 +328,9 @@ impl FeatureSchema {
         out
     }
 
-    /// The value of one named feature from pre-resolved telemetry. Shared by
-    /// every construction variant so the vector and matrix paths produce the
-    /// same floats.
-    fn feature_value(
-        name: &str,
-        node: &NodeTelemetry,
-        rtt_stats: (f64, f64, f64),
-        job: &JobRequest,
-    ) -> f64 {
-        let (rtt_mean, rtt_max, rtt_std) = rtt_stats;
-        match name {
-            "rtt_mean_s" => rtt_mean,
-            "rtt_max_s" => rtt_max,
-            "rtt_std_s" => rtt_std,
-            "tx_rate_bps" => node.tx_rate,
-            "rx_rate_bps" => node.rx_rate,
-            "cpu_load" => node.cpu_load,
-            "memory_available_bytes" => node.memory_available_bytes,
-            "input_records" => job.workload.input_records as f64,
-            "executor_count" => job.workload.executor_count as f64,
-            "executor_cores" => job.workload.executor_cores as f64,
-            "executor_memory_gb" => {
-                job.workload.executor_memory_bytes as f64 / (1024.0 * 1024.0 * 1024.0)
-            }
-            "shuffle_partitions" => job.workload.shuffle_partitions as f64,
-            other => {
-                if let Some(app) = other.strip_prefix("app_") {
-                    if app == job.app_type() {
-                        1.0
-                    } else {
-                        0.0
-                    }
-                } else {
-                    0.0
-                }
-            }
-        }
-    }
-
-    /// Allocation-free feature construction from pre-resolved telemetry: the
-    /// hot-path variant used by the scheduling context, which resolves
-    /// per-node telemetry and RTT statistics once per burst. `out` is cleared
-    /// and refilled; reuse it across candidates to avoid per-candidate
-    /// allocation.
+    /// Allocation-free feature construction from pre-resolved telemetry.
+    /// `out` is cleared and refilled; reuse it across candidates to avoid
+    /// per-candidate allocation.
     pub fn construct_into(
         &self,
         out: &mut FeatureVector,
@@ -185,13 +338,8 @@ impl FeatureSchema {
         rtt_stats: (f64, f64, f64),
         job: &JobRequest,
     ) {
-        out.clear();
-        out.reserve(self.len());
-        out.extend(
-            self.names
-                .iter()
-                .map(|name| Self::feature_value(name, node, rtt_stats, job)),
-        );
+        self.job_row_into(out, job);
+        self.write_telemetry(out, node, rtt_stats);
     }
 
     /// Append one candidate's feature row to a contiguous [`FeatureMatrix`]
@@ -210,8 +358,48 @@ impl FeatureSchema {
             "matrix stride must match the schema width"
         );
         let row = matrix.add_row();
-        for (slot, name) in row.iter_mut().zip(&self.names) {
-            *slot = Self::feature_value(name, node, rtt_stats, job);
+        for (slot, column) in row.iter_mut().zip(&self.columns) {
+            *slot = column.job_value(job);
+        }
+        self.write_telemetry(row, node, rtt_stats);
+    }
+
+    /// Fill `row` with the job half of a feature row, once per decision: the
+    /// job columns hold `job`'s values and the telemetry columns read 0, so
+    /// the row equals [`FeatureSchema::construct_into`] over default
+    /// telemetry. Reuse `row` across decisions to avoid allocation.
+    pub fn job_row_into(&self, row: &mut FeatureVector, job: &JobRequest) {
+        row.clear();
+        row.extend(self.columns.iter().map(|column| column.job_value(job)));
+    }
+
+    /// Append one candidate's feature row to `matrix`: a copy of `job_row`
+    /// (from [`FeatureSchema::job_row_into`]) with only the telemetry columns
+    /// overwritten. Bit-identical to [`FeatureSchema::construct_into_matrix`]
+    /// for the same node and job.
+    pub fn candidate_row_into(
+        &self,
+        matrix: &mut FeatureMatrix,
+        job_row: &[f64],
+        node: &NodeTelemetry,
+        rtt_stats: (f64, f64, f64),
+    ) {
+        assert_eq!(
+            matrix.n_features(),
+            self.len(),
+            "matrix stride must match the schema width"
+        );
+        matrix.push_row(job_row);
+        let last = matrix.n_rows() - 1;
+        self.write_telemetry(matrix.row_mut(last), node, rtt_stats);
+    }
+
+    /// Overwrite the telemetry columns of a full-width row.
+    #[inline]
+    fn write_telemetry(&self, row: &mut [f64], node: &NodeTelemetry, rtt_stats: (f64, f64, f64)) {
+        let values = telemetry_values(node, rtt_stats);
+        for &(at, source) in &self.telemetry {
+            row[at] = values[source];
         }
     }
 
@@ -433,6 +621,62 @@ mod tests {
                 .sum();
             assert_eq!(hot, 1.0, "exactly one app indicator set for {kind}");
         }
+    }
+
+    /// The serialized schema, byte for byte as archives store it.
+    const STANDARD_JSON: &str = concat!(
+        r#"{"names":["rtt_mean_s","rtt_max_s","rtt_std_s","tx_rate_bps","rx_rate_bps","#,
+        r#""cpu_load","memory_available_bytes","app_sort","app_pagerank","app_join","#,
+        r#""app_groupby","app_wordcount","input_records","executor_count","executor_cores","#,
+        r#""executor_memory_gb","shuffle_partitions"],"groups":["Network","Network","#,
+        r#""Network","Network","Network","Node","Node","Job","Job","Job","Job","Job","Job","#,
+        r#""Job","Job","Job","Job"]}"#
+    );
+
+    #[test]
+    fn archives_are_unchanged_and_round_trip() {
+        let standard = FeatureSchema::standard();
+        assert_eq!(serde_json::to_string(&standard).unwrap(), STANDARD_JSON);
+        for schema in [
+            standard,
+            FeatureSchema::with_groups(&[FeatureGroup::Network, FeatureGroup::Job]),
+            FeatureSchema::with_groups(&[]),
+        ] {
+            let json = serde_json::to_string(&schema).unwrap();
+            let loaded: FeatureSchema = serde_json::from_str(&json).unwrap();
+            assert_eq!(loaded, schema);
+        }
+        // Any order of known, distinct, correctly grouped columns loads.
+        let permuted =
+            r#"{"names":["app_join","cpu_load","rtt_max_s"],"groups":["Job","Node","Network"]}"#;
+        let loaded: FeatureSchema = serde_json::from_str(permuted).unwrap();
+        let vec = loaded.construct(&snapshot(), "node-1", &job());
+        assert_eq!(vec, vec![0.0, 2.5, 0.070]);
+    }
+
+    #[test]
+    fn tampered_schema_archives_are_rejected_on_load() {
+        let load = |json: &str| serde_json::from_str::<FeatureSchema>(json).map(|_| ());
+        let err = |json: &str| load(json).unwrap_err().to_string();
+        assert!(load(STANDARD_JSON).is_ok());
+        // A names/groups length mismatch.
+        let short = STANDARD_JSON.replace(r#","shuffle_partitions""#, "");
+        assert!(
+            err(&short).contains("16 names but 17 groups"),
+            "{}",
+            err(&short)
+        );
+        // A misspelled (unknown) column would silently read 0 forever.
+        let typo = STANDARD_JSON.replace("cpu_load", "cpu_lod");
+        assert!(err(&typo).contains("unknown feature column `cpu_lod`"));
+        let unknown_app = STANDARD_JSON.replace("app_join", "app_kmeans");
+        assert!(err(&unknown_app).contains("`app_kmeans`"));
+        // A repeated column.
+        let twice = STANDARD_JSON.replace("rtt_max_s", "rtt_mean_s");
+        assert!(err(&twice).contains("`rtt_mean_s` appears twice"));
+        // A column tagged with another group.
+        let regrouped = r#"{"names":["cpu_load"],"groups":["Job"]}"#;
+        assert!(err(regrouped).contains("tagged Job, not Node"));
     }
 
     #[test]

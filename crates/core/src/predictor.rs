@@ -391,6 +391,17 @@ mod tests {
     }
 
     #[test]
+    fn archive_bytes_are_pinned() {
+        // FNV-1a of the seeded linear predictor's archive: the schema's typed
+        // columns are derived state and must not change what is saved.
+        let json = trained_predictor(ModelKind::Linear).to_json();
+        let fnv = json.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!((json.len(), fnv), (808, 0x2a6c_1595_0538_388f));
+    }
+
+    #[test]
     fn predict_from_features_matches_predict() {
         let predictor = trained_predictor(ModelKind::Linear);
         let job = JobRequest::named("sort", WorkloadKind::Sort, 100_000, 2);

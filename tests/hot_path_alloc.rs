@@ -105,26 +105,25 @@ fn disarm() -> (u64, u64, u64) {
     tally.counts
 }
 
-/// A 4-node, 2-site world with a scraped telemetry round.
-fn test_world() -> (ClusterState, Network, ScrapeManager) {
+/// An `n`-node world split across two sites, with a scraped telemetry round
+/// (host metrics and the full ping mesh).
+fn world(n: usize) -> (ClusterState, Network, ScrapeManager) {
     let mut b = TopologyBuilder::new();
     let s0 = b.add_site("UCSD", SimDuration::from_micros(200), gbps(10.0));
     let s1 = b.add_site("FIU", SimDuration::from_micros(200), gbps(10.0));
-    for i in 0..2 {
-        b.add_node(format!("node-{}", i + 1), s0, gbps(1.0), gbps(1.0));
-    }
-    for i in 2..4 {
-        b.add_node(format!("node-{}", i + 1), s1, gbps(1.0), gbps(1.0));
+    for i in 0..n {
+        let site = if i < n / 2 { s0 } else { s1 };
+        b.add_node(format!("node-{}", i + 1), site, gbps(1.0), gbps(1.0));
     }
     b.connect_sites(s0, s1, SimDuration::from_millis(30), mbps(500.0));
     let network = Network::new(b.build().unwrap());
     let mut cluster = ClusterState::new();
-    for i in 0..4 {
+    for i in 0..n {
         cluster.add_node(Node::new(
             format!("node-{}", i + 1),
             NodeId(i),
             Resources::from_cores_and_gib(6, 8),
-            if i < 2 { "UCSD" } else { "FIU" },
+            if i < n / 2 { "UCSD" } else { "FIU" },
         ));
     }
     let mut scrape = ScrapeManager::new(ScrapeConfig::default());
@@ -194,7 +193,7 @@ fn steady_state_random_forest_burst_is_allocation_free() {
 /// Warm a supervised service of `model_kind`, then require ten whole
 /// `schedule_batch_into` bursts to make zero heap operations.
 fn assert_supervised_bursts_are_allocation_free(model_kind: ModelKind) {
-    let (cluster, _network, mut scrape) = test_world();
+    let (cluster, _network, mut scrape) = world(4);
     let published = scrape.published_handle();
     let mut service = trained_service(&cluster, &scrape, model_kind);
     assert_eq!(
@@ -247,13 +246,58 @@ fn assert_supervised_bursts_are_allocation_free(model_kind: ModelKind) {
 }
 
 #[test]
+fn steady_state_mesh64_linear_bursts_are_allocation_free() {
+    // The shape of a 64-node ping-mesh world under 24-job bursts with a
+    // linear model and no budget: every decision fills its job row once and
+    // 64 candidate rows from it. Varied jobs change the job row every
+    // decision; the row lives in the context scratch and must not allocate.
+    let (cluster, _network, mut scrape) = world(64);
+    let published = scrape.published_handle();
+    let mut service = trained_service(&cluster, &scrape, ModelKind::Linear);
+
+    let requests: Vec<JobRequest> = (0..24)
+        .map(|i| {
+            let kind = WorkloadKind::ALL[i % WorkloadKind::ALL.len()];
+            JobRequest::named(
+                format!("{kind}-{i}"),
+                kind,
+                50_000 + 10_000 * i as u64,
+                1 + i as u32 % 4,
+            )
+        })
+        .collect();
+    let now = SimTime::from_secs(3);
+    let mut decisions: Vec<SchedulingDecision> = Vec::new();
+    for _ in 0..3 {
+        service.schedule_batch_into(&requests, &published, &cluster, now, &mut decisions);
+    }
+
+    arm();
+    for _ in 0..10 {
+        service.schedule_batch_into(&requests, &published, &cluster, now, &mut decisions);
+    }
+    let (allocs, deallocs, reallocs) = disarm();
+    assert_eq!(
+        (allocs, deallocs, reallocs),
+        (0, 0, 0),
+        "steady-state 64-node linear bursts must be allocation-free \
+         (allocs={allocs} deallocs={deallocs} reallocs={reallocs})"
+    );
+    assert_eq!(decisions.len(), 24);
+    for decision in &decisions {
+        assert!(decision.used_model);
+        assert_eq!(decision.ranking.len(), 64, "unpruned: every node is ranked");
+    }
+}
+
+#[test]
 fn steady_state_pruned_bursts_are_allocation_free() {
     // Two-stage decision path with a candidate budget: the supervised burst
     // prunes through the model-aligned coarse scoreboard (board pool, bounded
     // heap, signature cells — all scratch-carried and epoch-recycled), the
     // fallback burst through the model-blind prefilter. Both must run
     // heap-free once warm.
-    let (cluster, _network, mut scrape) = test_world();
+    let (cluster, _network, mut scrape) = world(4);
     let published = scrape.published_handle();
     let mut service = trained_service_with(
         &cluster,
@@ -327,7 +371,7 @@ fn steady_state_fallback_burst_is_allocation_free() {
     // The pre-training fallback path (uniform-random feasible placement)
     // shares the same in-place machinery and must also run heap-free once
     // warm.
-    let (cluster, _network, mut scrape) = test_world();
+    let (cluster, _network, mut scrape) = world(4);
     let published = scrape.published_handle();
     let mut service = SchedulerService::new(SchedulerConfig::default(), 7);
 
