@@ -5,15 +5,15 @@
 //! mesh → 88 series per scrape round) through one hour of 5-second scrape
 //! rounds and measures:
 //!
-//! * `sequential_scrape_1h` — the synchronous [`ScrapeManager`], one round
-//!   at a time on the caller thread (the pre-sharding architecture).
+//! * `sequential_scrape_1h` — [`ConcurrentScrapeManager::scrape`], one round
+//!   at a time on the caller thread (the single-owner scrape loop).
 //! * `concurrent_ingest_1h` — [`ConcurrentScrapeManager::ingest`] with the
 //!   default (adaptive) tuning: worlds below the per-round work threshold
 //!   route through the synchronous inline path, larger worlds through the
 //!   worker pipeline (exporter evaluation fanned across workers, per-shard
 //!   writer workers behind bounded queues, epoch-committed in schedule
-//!   order). Store contents are byte-identical to the sequential run (pinned
-//!   by `tests/telemetry_ingest.rs`); only wall-clock changes. The 8-node
+//!   order). Store contents are byte-identical to the round-by-round run
+//!   (pinned by `tests/telemetry_ingest.rs`); only wall-clock changes. The 8-node
 //!   world also runs with the pipeline *forced* (threshold 0) to record the
 //!   cross-thread overhead floor the adaptive fallback avoids.
 //! * `fetch_idle` / `fetch_during_ingest` — snapshot-fetch latency from a
@@ -34,8 +34,7 @@ use cluster::{ClusterState, Node, Resources};
 use simcore::{SimDuration, SimTime};
 use simnet::{gbps, mbps, Network, NodeId, TopologyBuilder};
 use telemetry::{
-    ClusterSnapshot, ConcurrentScrapeManager, IngestConfig, ScrapeConfig, ScrapeManager,
-    SnapshotSource,
+    ClusterSnapshot, ConcurrentScrapeManager, IngestConfig, ScrapeConfig, SnapshotSource,
 };
 
 /// A two-site world with `n` node exporters and the full ping mesh.
@@ -108,7 +107,7 @@ fn sequential_throughput(n: usize, rounds: usize, schedule_rounds: u64) -> f64 {
         n * 4 + n * (n - 1),
         schedule_rounds,
     );
-    let mut seq_manager = ScrapeManager::new(scrape_config());
+    let mut seq_manager = ConcurrentScrapeManager::new(scrape_config());
     let mut seq_hour = 0u64;
     measure(
         &format!("ingest_throughput/sequential_scrape_1h_{n}n"),
@@ -118,7 +117,7 @@ fn sequential_throughput(n: usize, rounds: usize, schedule_rounds: u64) -> f64 {
                 seq_manager.scrape(&cluster, &network, t);
             }
             seq_hour += 1;
-            black_box(seq_manager.store().point_count())
+            black_box(seq_manager.point_count())
         },
     )
 }

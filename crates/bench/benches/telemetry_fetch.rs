@@ -31,9 +31,9 @@ use netsched_core::service::{SchedulerConfig, SchedulerService};
 use std::collections::BTreeMap;
 use std::hint::black_box;
 use telemetry::{
-    ClusterSnapshot, MetricKind, NodeTelemetry, Sample, ScrapeConfig, ScrapeManager, SeriesKey,
-    METRIC_NODE_LOAD1, METRIC_NODE_MEM_AVAILABLE, METRIC_NODE_RX_BYTES, METRIC_NODE_TX_BYTES,
-    METRIC_PING_RTT,
+    ClusterSnapshot, ConcurrentScrapeManager, MetricKind, NodeTelemetry, Sample, ScrapeConfig,
+    SeriesKey, METRIC_NODE_LOAD1, METRIC_NODE_MEM_AVAILABLE, METRIC_NODE_RX_BYTES,
+    METRIC_NODE_TX_BYTES, METRIC_PING_RTT,
 };
 
 use simcore::{SimDuration, SimTime};
@@ -142,12 +142,19 @@ mod naive {
     }
 }
 
+/// The scrape manager and naive store over one history, plus its cluster.
+type History = (
+    ConcurrentScrapeManager,
+    naive::NaiveStore,
+    cluster::ClusterState,
+);
+
 /// A 1-hour (or shorter) scrape history over the paper's 6-node world, in
 /// both the interned store and the naive reference store.
-fn scrape_history(seconds: u64) -> (ScrapeManager, naive::NaiveStore, cluster::ClusterState) {
+fn scrape_history(seconds: u64) -> History {
     let testbed = experiments::FabricTestbed::paper();
     let (cluster, network) = (testbed.cluster, testbed.network);
-    let mut mgr = ScrapeManager::new(ScrapeConfig {
+    let mut mgr = ConcurrentScrapeManager::new(ScrapeConfig {
         interval: SimDuration::from_secs(5),
         rate_window: SimDuration::from_secs(30),
         retention: Some(SimDuration::from_secs(3600)),
@@ -193,8 +200,8 @@ fn main() {
 
     println!(
         "store: {} series, {} points retained over {history_secs} s of 5 s scrapes",
-        mgr.store().series_count(),
-        mgr.store().point_count()
+        mgr.series_count(),
+        mgr.point_count()
     );
 
     let naive_ns = measure("telemetry_fetch/naive_linear_1h", rounds, || {

@@ -2,15 +2,15 @@
 //!
 //! *"This component queries the Prometheus metrics server at scheduling time
 //! to retrieve the most recent telemetry snapshot."* In this reproduction the
-//! metrics server is any [`telemetry::SnapshotSource`] — the synchronous
-//! [`telemetry::ScrapeManager`], the sharded
-//! [`telemetry::ConcurrentScrapeManager`], or a [`telemetry::TelemetryReader`]
-//! handle observing a live concurrent ingest; the fetcher wraps it with the
+//! metrics server is any [`telemetry::SnapshotSource`] — the scrape manager
+//! [`telemetry::ConcurrentScrapeManager`], a [`telemetry::TelemetryReader`]
+//! handle observing a live ingest, or a [`telemetry::PublishedSnapshot`]
+//! handle over its published epochs; the fetcher wraps it with the
 //! scheduler-side query configuration (rate window, staleness tolerance).
 
 use serde::{Deserialize, Serialize};
 use simcore::{SimDuration, SimTime};
-use telemetry::{ClusterSnapshot, PublishedEpoch, SnapshotSource, TimeSeriesStore};
+use telemetry::{ClusterSnapshot, PublishedEpoch, SnapshotSource};
 
 /// Scheduler-side telemetry query configuration.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -33,14 +33,9 @@ impl TelemetryFetcher {
         TelemetryFetcher { rate_window }
     }
 
-    /// Fetch the most recent snapshot from a raw time-series store.
-    pub fn fetch_from_store(&self, store: &TimeSeriesStore, now: SimTime) -> ClusterSnapshot {
-        ClusterSnapshot::from_store(store, now, self.rate_window)
-    }
-
     /// Fetch the most recent snapshot from the metrics server (any
-    /// [`SnapshotSource`]: the synchronous scrape manager, the concurrent
-    /// one, or a reader handle over a live ingest).
+    /// [`SnapshotSource`]: the scrape manager, a reader handle over a live
+    /// ingest, or a published-epoch handle).
     pub fn fetch<S: SnapshotSource + ?Sized>(
         &self,
         metrics_server: &S,
@@ -85,61 +80,5 @@ impl TelemetryFetcher {
         metrics_server: &S,
     ) -> Option<PublishedEpoch> {
         metrics_server.published()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use telemetry::{Sample, SeriesKey, METRIC_NODE_LOAD1, METRIC_NODE_TX_BYTES};
-
-    #[test]
-    fn fetch_reads_latest_values_and_rates() {
-        let mut store = TimeSeriesStore::new();
-        store.append(Sample::gauge(
-            SeriesKey::per_node(METRIC_NODE_LOAD1, "node-1"),
-            1.25,
-            SimTime::from_secs(50),
-        ));
-        store.append(Sample::counter(
-            SeriesKey::per_node(METRIC_NODE_TX_BYTES, "node-1"),
-            0.0,
-            SimTime::from_secs(30),
-        ));
-        store.append(Sample::counter(
-            SeriesKey::per_node(METRIC_NODE_TX_BYTES, "node-1"),
-            20e6,
-            SimTime::from_secs(50),
-        ));
-        let fetcher = TelemetryFetcher::default();
-        let snap = fetcher.fetch_from_store(&store, SimTime::from_secs(55));
-        let node = snap.node("node-1").unwrap();
-        assert_eq!(node.cpu_load, 1.25);
-        assert!((node.tx_rate - 1e6).abs() < 1.0);
-        assert_eq!(snap.time, SimTime::from_secs(55));
-    }
-
-    #[test]
-    fn narrow_rate_window_misses_old_counters() {
-        let mut store = TimeSeriesStore::new();
-        store.append(Sample::gauge(
-            SeriesKey::per_node(METRIC_NODE_LOAD1, "node-1"),
-            0.5,
-            SimTime::from_secs(100),
-        ));
-        store.append(Sample::counter(
-            SeriesKey::per_node(METRIC_NODE_TX_BYTES, "node-1"),
-            0.0,
-            SimTime::from_secs(10),
-        ));
-        store.append(Sample::counter(
-            SeriesKey::per_node(METRIC_NODE_TX_BYTES, "node-1"),
-            1e6,
-            SimTime::from_secs(20),
-        ));
-        let fetcher = TelemetryFetcher::new(SimDuration::from_secs(5));
-        let snap = fetcher.fetch_from_store(&store, SimTime::from_secs(100));
-        // Both counter samples fall outside the 5 s window ending at t=100.
-        assert_eq!(snap.node("node-1").unwrap().tx_rate, 0.0);
     }
 }

@@ -378,9 +378,9 @@ mod tests {
     use simcore::SimDuration;
     use simnet::{gbps, mbps, Network, NodeId, TopologyBuilder};
     use sparksim::WorkloadKind;
-    use telemetry::{ScrapeConfig, ScrapeManager};
+    use telemetry::{ConcurrentScrapeManager, ScrapeConfig};
 
-    fn test_world() -> (ClusterState, Network, ScrapeManager) {
+    fn test_world() -> (ClusterState, Network, ConcurrentScrapeManager) {
         let mut b = TopologyBuilder::new();
         let s0 = b.add_site("UCSD", SimDuration::from_micros(200), gbps(10.0));
         let s1 = b.add_site("FIU", SimDuration::from_micros(200), gbps(10.0));
@@ -401,7 +401,7 @@ mod tests {
                 if i < 2 { "UCSD" } else { "FIU" },
             ));
         }
-        let mut scrape = ScrapeManager::new(ScrapeConfig::default());
+        let mut scrape = ConcurrentScrapeManager::new(ScrapeConfig::default());
         scrape.scrape(&cluster, &network, SimTime::from_secs(1));
         (cluster, network, scrape)
     }
@@ -514,8 +514,6 @@ mod tests {
 
     #[test]
     fn decisions_overlap_with_concurrent_ingest() {
-        use telemetry::ConcurrentScrapeManager;
-
         let (cluster, network, _) = test_world();
         let mut manager = ConcurrentScrapeManager::new(ScrapeConfig::default());
         manager.scrape(&cluster, &network, SimTime::from_secs(1));
@@ -561,7 +559,7 @@ mod tests {
         let published = scrape.published_handle();
         // A publisher-free manager over the same scrape history: the
         // store-backed reference the published path must agree with.
-        let mut plain = ScrapeManager::new(ScrapeConfig::default());
+        let mut plain = ConcurrentScrapeManager::new(ScrapeConfig::default());
         plain.scrape(&cluster, &network, SimTime::from_secs(1));
         // Same seed, same world: adopting the published epoch's snapshot must
         // produce the exact decisions the store-backed fetch produces.
@@ -606,7 +604,7 @@ mod tests {
 
         // Switching to a non-publishing source falls back to assembly (and
         // resets the held epoch so the next published fetch re-adopts).
-        let mut plain = ScrapeManager::new(ScrapeConfig::default());
+        let mut plain = ConcurrentScrapeManager::new(ScrapeConfig::default());
         plain.scrape(&cluster, &network, SimTime::from_secs(1));
         let fourth = service.schedule(&request(3), &plain, &cluster, now);
         assert!(!fourth.snapshot.is_empty());

@@ -20,7 +20,7 @@ use simnet::{
 };
 use sparksim::engine::{execute_job, ContentionDriver, ExecutionConfig};
 use sparksim::{JobRunResult, Placement};
-use telemetry::{ClusterSnapshot, ScrapeConfig, ScrapeManager};
+use telemetry::{ClusterSnapshot, ConcurrentScrapeManager, ScrapeConfig};
 
 /// A built substrate: the flow-level network plus the mini-Kubernetes view of
 /// its nodes. This is what [`SimWorld`] runs on; the FABRIC slice
@@ -176,20 +176,40 @@ pub struct WorldRunOutcome {
 }
 
 /// The simulated world.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SimWorld {
     /// The mini-Kubernetes cluster.
     pub cluster: ClusterState,
     /// The flow-level network.
     pub network: Network,
-    /// The Prometheus-like metrics server.
-    pub metrics: ScrapeManager,
+    /// The Prometheus-like metrics server. Single scrape rounds run inline
+    /// on the world's thread; cloning the world forks it (a deep copy).
+    pub metrics: ConcurrentScrapeManager,
     background: BackgroundDriver,
     executor_scheduler: DefaultScheduler,
     fetcher: TelemetryFetcher,
     exec_config: ExecutionConfig,
     rng: Rng,
     now: SimTime,
+}
+
+/// A clone is an independent world frozen at the same state: the metrics
+/// server is forked (copied store, detached publisher), so jobs run on the
+/// clone never reach the original's telemetry.
+impl Clone for SimWorld {
+    fn clone(&self) -> Self {
+        SimWorld {
+            cluster: self.cluster.clone(),
+            network: self.network.clone(),
+            metrics: self.metrics.fork(),
+            background: self.background.clone(),
+            executor_scheduler: self.executor_scheduler.clone(),
+            fetcher: self.fetcher,
+            exec_config: self.exec_config.clone(),
+            rng: self.rng.clone(),
+            now: self.now,
+        }
+    }
 }
 
 impl SimWorld {
@@ -210,7 +230,7 @@ impl SimWorld {
         SimWorld {
             cluster: testbed.cluster,
             network: testbed.network,
-            metrics: ScrapeManager::new(ScrapeConfig {
+            metrics: ConcurrentScrapeManager::new(ScrapeConfig {
                 interval: SimDuration::from_secs(5),
                 rate_window: SimDuration::from_secs(30),
                 retention: Some(SimDuration::from_secs(7200)),
@@ -458,6 +478,25 @@ mod tests {
         // 5 s interval -> scrape at 0,5,...,30.
         assert!(w.metrics.scrape_count() >= 6);
         assert!(!w.has_background_load());
+    }
+
+    #[test]
+    fn running_a_job_on_a_clone_leaves_the_original_untouched() {
+        let mut w = world(4);
+        w.advance_to(SimTime::from_secs(20));
+        let before = serde_json::to_string(&w.snapshot()).unwrap();
+        let scrapes = w.metrics.scrape_count();
+
+        let mut copy = w.clone();
+        let outcome = copy.run_job(&request(200_000), "node-2").expect("job fits");
+        assert!(copy.now() > w.now());
+        assert!(copy.metrics.scrape_count() > scrapes);
+        assert_eq!(outcome.pre_run_snapshot.time, SimTime::from_secs(20));
+
+        // Same instant, same store: the original's snapshot is byte-identical
+        // (a repeat scrape at an already-scraped time stores nothing).
+        assert_eq!(w.metrics.scrape_count(), scrapes);
+        assert_eq!(serde_json::to_string(&w.snapshot()).unwrap(), before);
     }
 
     #[test]

@@ -18,11 +18,17 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Default worker count: the number of available CPUs, capped at 16 so that
 /// test machines with many cores don't oversubscribe tiny workloads.
+///
+/// Probed once per process: on Linux the probe reads cgroup files (~20 µs),
+/// and every default `IngestConfig` (one per simulated world) asks.
 pub fn default_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .clamp(1, 16)
+    static WORKERS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *WORKERS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4)
+            .clamp(1, 16)
+    })
 }
 
 /// Apply `f` to every index in `0..n`, returning results in index order.

@@ -10,15 +10,16 @@
 //! * [`node_exporter_samples`] / [`ping_mesh_samples`] are pure functions
 //!   returning owned [`Sample`]s — the reference implementation, handy in
 //!   tests and one-off probes.
-//! * [`ExporterLayout`] is the interned fast path the scrape loop uses: it
-//!   interns every series key into the store **once** and caches the
-//!   [`SeriesId`]s, so each subsequent scrape appends raw values without
-//!   constructing a single `SeriesKey` or `String` — and the snapshot can be
-//!   assembled back out of the store through the same ids.
+//! * `ExporterLayout` is the interned fast path the scrape manager uses: it
+//!   interns every series key into the shards **once** and caches the ids,
+//!   so each subsequent scrape appends raw values without constructing a
+//!   single `SeriesKey` or `String` — and the snapshot is assembled back out
+//!   of the shards through the same ids.
 
 use crate::metrics::{MetricKind, Sample, SeriesKey};
+use crate::shards::ShardedSeriesId;
 use crate::snapshot::{ClusterSnapshot, NodeTelemetry};
-use crate::store::{SeriesId, TimeSeriesStore};
+use crate::store::TimeSeriesStore;
 use crate::{
     METRIC_NODE_LOAD1, METRIC_NODE_MEM_AVAILABLE, METRIC_NODE_RX_BYTES, METRIC_NODE_TX_BYTES,
     METRIC_PING_RTT,
@@ -26,6 +27,7 @@ use crate::{
 use cluster::ClusterState;
 use simcore::{SimDuration, SimTime};
 use simnet::Network;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Process-wide generation source for [`ExporterLayout`] stamps. Starts at 1
@@ -105,21 +107,17 @@ pub(crate) fn pair_seed(a: u64, b: u64, now: SimTime) -> u64 {
 }
 
 /// The interned exporter set for one cluster: every series the node and
-/// ping-mesh exporters emit, pre-interned into a store.
+/// ping-mesh exporters emit, pre-interned into the scrape manager's shards.
 ///
 /// Built once (and rebuilt only if the cluster's node table changes); after
-/// that, scraping ([`ExporterLayout::scrape_into`]) and snapshot assembly
-/// ([`ExporterLayout::snapshot_into`]) are pure id-indexed work: no
-/// `SeriesKey` construction, no label lookups, no `String` round-trips.
-///
-/// The layout is generic over the interned id type: the flat store's
-/// [`SeriesId`] by default, the sharded pipeline's
-/// [`crate::shards::ShardedSeriesId`] in `crate::ingest`. Every build stamps
-/// a process-unique **generation** so downstream consumers (snapshot scratch
-/// reuse) can detect "same layout as last time" with one integer compare
-/// instead of a name-table comparison.
+/// that, scraping and snapshot assembly ([`ExporterLayout::assemble`]) are
+/// pure id-indexed work: no `SeriesKey` construction, no label lookups, no
+/// `String` round-trips. Every build stamps a process-unique **generation**
+/// so downstream consumers (snapshot scratch reuse) can detect "same layout
+/// as last time" with one integer compare instead of a name-table
+/// comparison.
 #[derive(Debug, Clone)]
-pub struct ExporterLayout<Id = SeriesId> {
+pub(crate) struct ExporterLayout {
     /// Process-unique build stamp (never 0).
     pub(crate) generation: u64,
     /// Node names in cluster [`cluster::NodeId`] order.
@@ -127,25 +125,26 @@ pub struct ExporterLayout<Id = SeriesId> {
     /// Network interface of each node, aligned with `node_names`.
     pub(crate) net_ids: Vec<simnet::NodeId>,
     /// `node_load1` series per node.
-    pub(crate) load1: Vec<Id>,
+    pub(crate) load1: Vec<ShardedSeriesId>,
     /// `node_memory_MemAvailable_bytes` series per node.
-    pub(crate) mem: Vec<Id>,
+    pub(crate) mem: Vec<ShardedSeriesId>,
     /// `node_network_transmit_bytes_total` series per node.
-    pub(crate) tx: Vec<Id>,
+    pub(crate) tx: Vec<ShardedSeriesId>,
     /// `node_network_receive_bytes_total` series per node.
-    pub(crate) rx: Vec<Id>,
+    pub(crate) rx: Vec<ShardedSeriesId>,
     /// `(source index, target index, series)` per ordered ping pair.
-    pub(crate) pings: Vec<(u32, u32, Id)>,
+    pub(crate) pings: Vec<(u32, u32, ShardedSeriesId)>,
 }
 
-impl<Id: Copy> ExporterLayout<Id> {
+impl ExporterLayout {
     /// Intern every exporter series for `cluster` through `intern` and
-    /// capture the resulting ids. Intern order matches the legacy sample
-    /// order (per node: load, memory, tx, rx; then the ordered ping pairs) so
-    /// the store's per-name buckets stay in cluster order.
-    pub fn build_with(
+    /// capture the resulting ids. Intern order matches the sample order of
+    /// [`node_exporter_samples`] and [`ping_mesh_samples`] (per node: load,
+    /// memory, tx, rx; then the ordered ping pairs) so the store's per-name
+    /// buckets stay in cluster order.
+    pub(crate) fn build(
         cluster: &ClusterState,
-        mut intern: impl FnMut(&SeriesKey, MetricKind) -> Id,
+        mut intern: impl FnMut(&SeriesKey, MetricKind) -> ShardedSeriesId,
     ) -> Self {
         let nodes = cluster.nodes();
         let mut layout = ExporterLayout {
@@ -206,7 +205,7 @@ impl<Id: Copy> ExporterLayout<Id> {
     /// names in the same order *and* the same network interfaces (a rebuilt
     /// cluster can keep node names while permuting `net_id`s; reusing the
     /// cached ids would then scrape the wrong interface's counters).
-    pub fn matches(&self, cluster: &ClusterState) -> bool {
+    pub(crate) fn matches(&self, cluster: &ClusterState) -> bool {
         cluster.names_match(&self.node_names)
             && cluster
                 .nodes()
@@ -215,35 +214,30 @@ impl<Id: Copy> ExporterLayout<Id> {
                 .all(|(node, &net_id)| node.net_id == net_id)
     }
 
-    /// Node names in cluster id order.
-    pub fn node_names(&self) -> &[String] {
-        &self.node_names
-    }
-
-    /// This build's process-unique generation stamp (never 0). Two layouts
-    /// share a generation only when they are clones of the same build, so an
-    /// unchanged generation proves an unchanged node table.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Shared snapshot-assembly body, generic over the store accessors (the
-    /// same pattern [`ExporterLayout::build_with`] uses for interning): the
-    /// flat path reads one store, the sharded path reads per-shard guards.
-    /// Keeping the loop in one place keeps the two paths float-op-identical,
-    /// which the "concurrent snapshots are byte-identical to sequential"
-    /// guarantee depends on.
-    pub(crate) fn assemble_with(
+    /// Assemble the scheduler-facing snapshot at `at` straight through the
+    /// interned ids over the (locked) shards, reusing `snap`'s storage.
+    /// Produces what [`ClusterSnapshot::from_store`] would over one store
+    /// holding the same points, minus every name lookup, with the node table
+    /// fixed to this layout's nodes. A scratch snapshot last reset by this
+    /// same layout build skips the name-table comparison entirely
+    /// (generation fast path).
+    pub(crate) fn assemble<S: Deref<Target = TimeSeriesStore>>(
         &self,
+        shards: &[S],
         at: SimTime,
+        rate_window: SimDuration,
         snap: &mut ClusterSnapshot,
-        mut instant: impl FnMut(Id, SimTime) -> Option<f64>,
-        mut rate: impl FnMut(Id, SimTime) -> Option<f64>,
     ) {
+        let instant = |id: ShardedSeriesId| shards[id.shard as usize].instant_id(id.series, at);
+        let rate = |id: ShardedSeriesId| {
+            shards[id.shard as usize]
+                .rate_id(id.series, at, rate_window)
+                .unwrap_or(0.0)
+        };
         snap.reset_for_generation(at, self.generation, &self.node_names);
         for i in 0..self.node_names.len() {
-            let load = instant(self.load1[i], at);
-            let mem = instant(self.mem[i], at);
+            let load = instant(self.load1[i]);
+            let mem = instant(self.mem[i]);
             if load.is_none() && mem.is_none() {
                 continue;
             }
@@ -252,69 +246,16 @@ impl<Id: Copy> ExporterLayout<Id> {
                 NodeTelemetry {
                     cpu_load: load.unwrap_or(0.0),
                     memory_available_bytes: mem.unwrap_or(0.0),
-                    tx_rate: rate(self.tx[i], at).unwrap_or(0.0),
-                    rx_rate: rate(self.rx[i], at).unwrap_or(0.0),
+                    tx_rate: rate(self.tx[i]),
+                    rx_rate: rate(self.rx[i]),
                 },
             );
         }
         for &(a, b, id) in &self.pings {
-            if let Some(rtt) = instant(id, at) {
+            if let Some(rtt) = instant(id) {
                 snap.insert_rtt_by_id(cluster::NodeId(a), cluster::NodeId(b), rtt);
             }
         }
-    }
-}
-
-impl ExporterLayout {
-    /// Intern every exporter series for `cluster` into `store` and capture
-    /// the resulting ids (see [`ExporterLayout::build_with`]).
-    pub fn build(cluster: &ClusterState, store: &mut TimeSeriesStore) -> Self {
-        Self::build_with(cluster, |key, kind| store.intern(key, kind))
-    }
-
-    /// Scrape all exporters at `now`, appending through pre-interned ids.
-    /// Emits exactly the samples [`node_exporter_samples`] and
-    /// [`ping_mesh_samples`] would, without building any of them.
-    pub fn scrape_into(
-        &self,
-        cluster: &ClusterState,
-        network: &Network,
-        now: SimTime,
-        store: &mut TimeSeriesStore,
-    ) {
-        for (i, node) in cluster.nodes().iter().enumerate() {
-            let counters = network.counters(self.net_ids[i]);
-            store.append_value(self.load1[i], node.cpu_load(), now);
-            store.append_value(self.mem[i], node.memory_available(), now);
-            store.append_value(self.tx[i], counters.tx_bytes, now);
-            store.append_value(self.rx[i], counters.rx_bytes, now);
-        }
-        for &(a, b, id) in &self.pings {
-            let (src, dst) = (self.net_ids[a as usize], self.net_ids[b as usize]);
-            let seed = pair_seed(src.0 as u64, dst.0 as u64, now);
-            let rtt = network.current_rtt(src, dst, seed);
-            store.append_value(id, rtt.as_secs_f64(), now);
-        }
-    }
-
-    /// Assemble the scheduler-facing snapshot at `at` straight through the
-    /// interned ids, reusing `snap`'s storage. Produces exactly what
-    /// [`ClusterSnapshot::from_store`] would, minus every name lookup. A
-    /// scratch snapshot last reset by this same layout build skips the
-    /// name-table comparison entirely (generation fast path).
-    pub fn snapshot_into(
-        &self,
-        store: &TimeSeriesStore,
-        at: SimTime,
-        rate_window: SimDuration,
-        snap: &mut ClusterSnapshot,
-    ) {
-        self.assemble_with(
-            at,
-            snap,
-            |id, at| store.instant_id(id, at),
-            |id, at| store.rate_id(id, at, rate_window),
-        );
     }
 }
 
@@ -433,47 +374,42 @@ mod tests {
         assert_ne!(a, c);
     }
 
+    /// A one-shard layout interned into `store`.
+    fn build_into(cluster: &ClusterState, store: &mut TimeSeriesStore) -> ExporterLayout {
+        ExporterLayout::build(cluster, |key, kind| ShardedSeriesId {
+            shard: 0,
+            series: store.intern(key, kind),
+        })
+    }
+
     #[test]
-    fn interned_scrape_matches_sample_building_path() {
+    fn layout_assembly_matches_generic_store_assembly() {
         let (cluster, network) = setup();
-        let times = [SimTime::from_secs(1), SimTime::from_secs(6)];
-
-        // Reference path: build owned samples and append them.
-        let mut reference = TimeSeriesStore::new();
-        for &t in &times {
-            reference.append_all(node_exporter_samples(&cluster, &network, t));
-            reference.append_all(ping_mesh_samples(&cluster, &network, t));
-        }
-
-        // Interned path: intern once, then append raw values.
-        let mut interned = TimeSeriesStore::new();
-        let layout = ExporterLayout::build(&cluster, &mut interned);
+        let mut store = TimeSeriesStore::new();
+        let layout = build_into(&cluster, &mut store);
         assert!(layout.matches(&cluster));
-        assert_eq!(layout.node_names(), &cluster.node_names()[..]);
-        for &t in &times {
-            layout.scrape_into(&cluster, &network, t, &mut interned);
+        assert_eq!(layout.node_names, cluster.node_names());
+        assert_eq!(store.series_count(), 3 * 4 + 3 * 2);
+        // Sample-built scrapes land on exactly the ids the layout interned.
+        for t in [1u64, 6] {
+            let t = SimTime::from_secs(t);
+            store.append_all(node_exporter_samples(&cluster, &network, t));
+            store.append_all(ping_mesh_samples(&cluster, &network, t));
         }
+        assert_eq!(store.series_count(), 3 * 4 + 3 * 2);
 
-        assert_eq!(reference.series_count(), interned.series_count());
-        assert_eq!(reference.point_count(), interned.point_count());
-        for key in reference.keys() {
-            let at = SimTime::from_secs(10);
-            assert_eq!(
-                reference.instant(key, at),
-                interned.instant(key, at),
-                "{key}"
-            );
-        }
-
-        // And the id-indexed snapshot equals the generic store assembly.
         let at = SimTime::from_secs(8);
         let window = SimDuration::from_secs(30);
-        let generic = ClusterSnapshot::from_store(&interned, at, window);
+        let generic = ClusterSnapshot::from_store(&store, at, window);
         let mut fast = ClusterSnapshot::default();
-        layout.snapshot_into(&interned, at, window, &mut fast);
+        layout.assemble(&[&store], at, window, &mut fast);
         assert_eq!(fast, generic);
-        // Scratch reuse converges to the same value.
-        layout.snapshot_into(&interned, at, window, &mut fast);
+        assert_eq!(
+            serde_json::to_string(&fast).unwrap(),
+            serde_json::to_string(&generic).unwrap()
+        );
+        // Scratch reuse (the generation fast path) converges to the same value.
+        layout.assemble(&[&store], at, window, &mut fast);
         assert_eq!(fast, generic);
     }
 
@@ -481,33 +417,37 @@ mod tests {
     fn layout_generations_are_unique_and_gate_the_snapshot_fast_path() {
         let (cluster, network) = setup();
         let mut store = TimeSeriesStore::new();
-        let layout = ExporterLayout::build(&cluster, &mut store);
-        let rebuilt = ExporterLayout::build(&cluster, &mut store);
+        let layout = build_into(&cluster, &mut store);
+        let rebuilt = build_into(&cluster, &mut store);
         // Every build gets a fresh stamp, even over an identical cluster; a
         // clone shares its origin's stamp (same ids, same table).
-        assert_ne!(layout.generation(), rebuilt.generation());
-        assert_ne!(layout.generation(), 0);
-        assert_eq!(layout.clone().generation(), layout.generation());
+        assert_ne!(layout.generation, rebuilt.generation);
+        assert_ne!(layout.generation, 0);
+        assert_eq!(layout.clone().generation, layout.generation);
 
-        layout.scrape_into(&cluster, &network, SimTime::from_secs(5), &mut store);
         let at = SimTime::from_secs(6);
         let window = SimDuration::from_secs(30);
+        store.append_all(node_exporter_samples(
+            &cluster,
+            &network,
+            SimTime::from_secs(5),
+        ));
         let mut snap = ClusterSnapshot::default();
-        layout.snapshot_into(&store, at, window, &mut snap);
-        let fresh = ClusterSnapshot::from_store(&store, at, window);
-        assert_eq!(snap, fresh);
-        // Generation fast path (same layout, reused scratch) converges.
-        layout.snapshot_into(&store, at, window, &mut snap);
-        assert_eq!(snap, fresh);
+        layout.assemble(&[&store], at, window, &mut snap);
+        assert_eq!(snap.node_names().len(), 3);
 
         // A mutated layout (smaller cluster) forces the slow path: the
         // scratch's node table must shrink to the new layout's names.
         let mut small = ClusterState::new();
         small.add_node(cluster.nodes()[0].clone());
         let mut small_store = TimeSeriesStore::new();
-        let small_layout = ExporterLayout::build(&small, &mut small_store);
-        small_layout.scrape_into(&small, &network, SimTime::from_secs(5), &mut small_store);
-        small_layout.snapshot_into(&small_store, at, window, &mut snap);
+        let small_layout = build_into(&small, &mut small_store);
+        small_store.append_all(node_exporter_samples(
+            &small,
+            &network,
+            SimTime::from_secs(5),
+        ));
+        small_layout.assemble(&[&small_store], at, window, &mut snap);
         assert_eq!(snap.node_names(), vec!["node-1"]);
         assert!(snap.node("node-2").is_none());
     }
@@ -515,8 +455,7 @@ mod tests {
     #[test]
     fn layout_detects_cluster_changes() {
         let (cluster, _network) = setup();
-        let mut store = TimeSeriesStore::new();
-        let layout = ExporterLayout::build(&cluster, &mut store);
+        let layout = build_into(&cluster, &mut TimeSeriesStore::new());
         let mut grown = cluster.clone();
         grown.add_node(Node::new(
             "node-4",

@@ -1,13 +1,17 @@
-//! Sharded, concurrent telemetry ingest.
+//! The scrape manager: the Prometheus server's scrape loop, sharded and
+//! concurrent.
 //!
-//! [`crate::ScrapeManager`] is synchronous and single-owner: scraping
-//! serializes with decision bursts, which is exactly the scale gap on
-//! clusters beyond a few hundred nodes. [`ConcurrentScrapeManager`] removes
-//! it by combining the metric-name sharding of [`crate::shards`] with a
-//! writer/epoch pipeline:
+//! [`ConcurrentScrapeManager`] is the crate's one scrape manager. It owns one
+//! [`TimeSeriesStore`] per shard and a pre-interned exporter layout, so
+//! steady-state scrapes append raw values with zero key construction and
+//! snapshot assembly runs entirely over interned ids. Single rounds
+//! ([`ConcurrentScrapeManager::scrape`] /
+//! [`ConcurrentScrapeManager::scrape_if_due`], the simulated world's loop)
+//! run inline on the caller thread; whole schedules
+//! ([`ConcurrentScrapeManager::ingest`]) can overlap with decision bursts:
 //!
 //! * **Shards.** The store is split by metric name behind per-shard locks
-//!   ([`crate::ShardRouter`]), so appends and retention pruning of different
+//!   (a stable FNV-1a router), so appends and retention pruning of different
 //!   metric names never contend.
 //! * **Writer pipeline.** [`ConcurrentScrapeManager::ingest`] runs a scrape
 //!   schedule through a two-stage pipeline over `crossbeam` scoped threads
@@ -23,9 +27,14 @@
 //!   obtainable while ingest runs on another thread) retry until they observe
 //!   the same even epoch before and after assembly — a snapshot therefore
 //!   reflects only fully-committed scrape rounds, never a torn one.
+//! * **Adaptive fallback.** Schedules whose rounds evaluate fewer series than
+//!   [`IngestConfig::sync_work_threshold`] run inline, round by round, with
+//!   no worker pool: small worlds never pay cross-thread overhead.
 //!
-//! The synchronous [`crate::ScrapeManager`] remains the single-owner wrapper
-//! (same cadence grid, flat store) for callers that don't need overlap.
+//! Whichever path runs, the stored points equal what the reference exporters
+//! ([`crate::node_exporter_samples`], [`crate::ping_mesh_samples`]) would
+//! append to one store, and snapshots equal [`ClusterSnapshot::from_store`]
+//! over that store.
 
 use crate::exporters::ExporterLayout;
 use crate::publish::{PublishedEpoch, PublishedSnapshot, SnapshotPublisher};
@@ -41,9 +50,6 @@ use simnet::Network;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-
-/// The exporter layout with sharded series identities.
-type ShardedLayout = ExporterLayout<ShardedSeriesId>;
 
 /// One evaluated append: shard-local series, value, timestamp.
 type Append = (SeriesId, f64, SimTime);
@@ -109,7 +115,7 @@ struct IngestShared {
     shards: Vec<Mutex<TimeSeriesStore>>,
     /// The current exporter layout (swapped atomically on cluster changes;
     /// readers clone the `Arc` and never see a half-built layout).
-    layout: Mutex<Option<Arc<ShardedLayout>>>,
+    layout: Mutex<Option<Arc<ExporterLayout>>>,
 }
 
 impl IngestShared {
@@ -126,6 +132,23 @@ impl IngestShared {
             router,
             shards,
             layout: Mutex::new(None),
+        }
+    }
+
+    /// A deep, independent copy of the committed state: copied shards and
+    /// the same (immutable) layout. Only reachable through
+    /// `&ConcurrentScrapeManager`, which no commit can overlap, so the copy
+    /// starts at a fresh even epoch.
+    fn deep_copy(&self) -> Self {
+        IngestShared {
+            epoch: AtomicU64::new(0),
+            router: self.router,
+            shards: self
+                .shards
+                .iter()
+                .map(|shard| Mutex::new(shard.lock().clone()))
+                .collect(),
+            layout: Mutex::new(self.layout.lock().clone()),
         }
     }
 
@@ -168,18 +191,17 @@ impl IngestShared {
             match layout {
                 None => {
                     // No scrape yet: an empty snapshot stamped with `at`,
-                    // matching the synchronous manager's pre-scrape fallback.
+                    // exactly what an empty store assembles.
                     snap.clear();
                     snap.time = at;
                 }
                 Some(layout) => {
                     // Lock every shard in index order (writers only ever hold
                     // one shard lock at a time, so this cannot deadlock) and
-                    // assemble exactly what the sequential interned path
-                    // would.
+                    // assemble through the interned ids.
                     let guards: Vec<MutexGuard<'_, TimeSeriesStore>> =
                         self.shards.iter().map(Mutex::lock).collect();
-                    assemble_sharded(&layout, &guards, at, rate_window, snap);
+                    layout.assemble(&guards, at, rate_window, snap);
                 }
             }
             // ordering: Acquire — an unchanged even epoch proves no commit
@@ -193,31 +215,12 @@ impl IngestShared {
     }
 }
 
-/// [`ExporterLayout::snapshot_into`]'s shared assembly body over locked
-/// shard guards: the loops (and therefore the float operations) are the
-/// flat sequential path's own, so the assembled snapshot is byte-identical
-/// given identical stored points.
-fn assemble_sharded(
-    layout: &ShardedLayout,
-    shards: &[MutexGuard<'_, TimeSeriesStore>],
-    at: SimTime,
-    rate_window: SimDuration,
-    snap: &mut ClusterSnapshot,
-) {
-    layout.assemble_with(
-        at,
-        snap,
-        |id, at| shards[id.shard as usize].instant_id(id.series, at),
-        |id, at| shards[id.shard as usize].rate_id(id.series, at, rate_window),
-    );
-}
-
 /// Evaluate one scrape round (every exporter series at `now`) into per-shard
 /// append batches, appending onto `batches`. Pure with respect to the shards:
 /// exporters only read `(cluster, network, now)`, which is what lets rounds
 /// evaluate concurrently.
 fn evaluate_round_into(
-    layout: &ShardedLayout,
+    layout: &ExporterLayout,
     cluster: &ClusterState,
     network: &Network,
     now: SimTime,
@@ -391,20 +394,24 @@ impl WriterPool {
     }
 }
 
-/// A sharded scrape manager whose ingest runs concurrently with readers.
+/// The scrape manager: drives the exporters on a grid-aligned cadence and
+/// stores the samples in a store sharded by metric name.
 ///
-/// Same cadence grid and exporter set as [`crate::ScrapeManager`]; the store
-/// is sharded by metric name behind per-shard locks, single rounds commit
-/// through the epoch protocol, and [`ConcurrentScrapeManager::ingest`]
-/// pipelines whole scrape schedules across worker threads. Hand a
-/// [`TelemetryReader`] to the scheduler (it implements
-/// [`SnapshotSource`]) and decision bursts overlap with scraping.
+/// Single rounds commit inline through the epoch protocol, and
+/// [`ConcurrentScrapeManager::ingest`] pipelines whole scrape schedules
+/// across worker threads (or inline, below the work threshold). Hand a
+/// [`TelemetryReader`] to the scheduler (it implements [`SnapshotSource`])
+/// and decision bursts overlap with scraping.
+///
+/// The manager is not `Clone`: a field-wise clone would alias the shards
+/// through their shared `Arc`. [`ConcurrentScrapeManager::fork`] is the deep
+/// copy.
 #[derive(Debug)]
 pub struct ConcurrentScrapeManager {
     config: ScrapeConfig,
     ingest: IngestConfig,
     shared: Arc<IngestShared>,
-    layout: Option<Arc<ShardedLayout>>,
+    layout: Option<Arc<ExporterLayout>>,
     writers: Option<WriterPool>,
     cadence: ScrapeCadence,
     scrape_count: u64,
@@ -416,6 +423,9 @@ pub struct ConcurrentScrapeManager {
     /// Timestamp of the last committed scrape round (publish-on-activation:
     /// a handle requested after scrapes immediately observes current state).
     last_scrape: Option<SimTime>,
+    /// Per-shard append buffers carried across inline rounds, so a steady
+    /// scrape loop reuses their capacity instead of allocating per round.
+    batches: Vec<Vec<Append>>,
 }
 
 impl Drop for ConcurrentScrapeManager {
@@ -443,6 +453,7 @@ impl ConcurrentScrapeManager {
     /// Create a manager with explicit ingest tuning.
     pub fn with_ingest(config: ScrapeConfig, ingest: IngestConfig) -> Self {
         let shared = Arc::new(IngestShared::new(&config, &ingest));
+        let batches = vec![Vec::new(); shared.router.shard_count()];
         ConcurrentScrapeManager {
             config,
             ingest,
@@ -453,6 +464,29 @@ impl ConcurrentScrapeManager {
             scrape_count: 0,
             publisher: None,
             last_scrape: None,
+            batches,
+        }
+    }
+
+    /// A deep, independent copy: copied shards, no writer pool (the fork's
+    /// own first pipelined `ingest` spawns one) and a detached publisher
+    /// seeded with this manager's latest epoch. Readers and published handles
+    /// taken from either side only ever observe that side — what a simulated
+    /// world needs to replay the same scrape history once per candidate.
+    pub fn fork(&self) -> Self {
+        ConcurrentScrapeManager {
+            config: self.config.clone(),
+            ingest: self.ingest,
+            shared: Arc::new(self.shared.deep_copy()),
+            layout: self.layout.clone(),
+            writers: None,
+            cadence: self.cadence,
+            scrape_count: self.scrape_count,
+            // `SnapshotPublisher::clone` detaches: fresh epochs, seeded with
+            // the original's latest snapshot.
+            publisher: self.publisher.clone(),
+            last_scrape: self.last_scrape,
+            batches: vec![Vec::new(); self.batches.len()],
         }
     }
 
@@ -542,17 +576,18 @@ impl ConcurrentScrapeManager {
 
     /// Build (or rebuild) the sharded exporter layout when the cluster's node
     /// table changed, swapping it in atomically for readers.
-    fn ensure_layout(&mut self, cluster: &ClusterState) -> Arc<ShardedLayout> {
+    fn ensure_layout(&mut self, cluster: &ClusterState) -> Arc<ExporterLayout> {
         let rebuild = match &self.layout {
             Some(layout) => !layout.matches(cluster),
             None => true,
         };
         if rebuild {
             let shared = &self.shared;
-            let layout = Arc::new(ExporterLayout::build_with(cluster, |key, kind| {
+            let layout = Arc::new(ExporterLayout::build(cluster, |key, kind| {
                 let shard = shared.router.shard_of(&key.name);
                 ShardedSeriesId {
-                    shard: shard as u16,
+                    // The router clamps its shard count to the u32 range.
+                    shard: shard as u32,
                     series: shared.shards[shard].lock().intern(key, kind),
                 }
             }));
@@ -562,13 +597,21 @@ impl ConcurrentScrapeManager {
         self.layout.as_ref().expect("layout built above").clone()
     }
 
-    /// Apply one chunk of evaluated batches under the epoch protocol,
-    /// appending each shard's batch sequentially on the caller thread. Each
-    /// batch is drained in place so the caller can reuse the buffers (and
-    /// their capacity) across rounds.
-    fn commit_inline(&self, batches: &mut [Vec<Append>]) {
+    /// One scrape round on the caller thread: evaluate every exporter series
+    /// at `now` into the carried per-shard buffers, apply them under the
+    /// epoch protocol (draining each buffer in place, so its capacity is
+    /// reused by the next round), then publish and count the round. Cadence
+    /// bookkeeping stays with the callers.
+    fn scrape_round(
+        &mut self,
+        layout: &ExporterLayout,
+        cluster: &ClusterState,
+        network: &Network,
+        now: SimTime,
+    ) {
+        evaluate_round_into(layout, cluster, network, now, &mut self.batches);
         self.shared.begin_commit();
-        for (shard, appends) in batches.iter_mut().enumerate() {
+        for (shard, appends) in self.batches.iter_mut().enumerate() {
             if appends.is_empty() {
                 continue;
             }
@@ -578,22 +621,22 @@ impl ConcurrentScrapeManager {
             }
         }
         self.shared.end_commit();
-    }
-
-    /// Perform one scrape round at `now`, re-anchoring the periodic grid
-    /// (the synchronous entry point, mirroring [`crate::ScrapeManager::scrape`]).
-    pub fn scrape(&mut self, cluster: &ClusterState, network: &Network, now: SimTime) {
-        let layout = self.ensure_layout(cluster);
-        let mut batches = vec![Vec::new(); self.shared.router.shard_count()];
-        evaluate_round_into(&layout, cluster, network, now, &mut batches);
-        self.commit_inline(&mut batches);
         self.publish_round(now);
         self.scrape_count += 1;
+    }
+
+    /// Perform one explicit scrape round at `now`, re-anchoring the periodic
+    /// grid at `now`.
+    pub fn scrape(&mut self, cluster: &ClusterState, network: &Network, now: SimTime) {
+        let layout = self.ensure_layout(cluster);
+        self.scrape_round(&layout, cluster, network, now);
         self.cadence.reanchor(now, self.config.interval);
     }
 
-    /// Scrape only if the grid-aligned due time has been reached (same
-    /// cadence semantics as [`crate::ScrapeManager::scrape_if_due`]).
+    /// Scrape only if the next grid-aligned due time has been reached.
+    /// Returns `true` when a scrape happened. The next due time advances on
+    /// the schedule grid (`due + k·interval`), so a delayed tick does not
+    /// drift the due times of subsequent scrapes.
     pub fn scrape_if_due(
         &mut self,
         cluster: &ClusterState,
@@ -604,11 +647,7 @@ impl ConcurrentScrapeManager {
             return false;
         }
         let layout = self.ensure_layout(cluster);
-        let mut batches = vec![Vec::new(); self.shared.router.shard_count()];
-        evaluate_round_into(&layout, cluster, network, now, &mut batches);
-        self.commit_inline(&mut batches);
-        self.publish_round(now);
-        self.scrape_count += 1;
+        self.scrape_round(&layout, cluster, network, now);
         self.cadence.advance_on_grid(now, self.config.interval);
         true
     }
@@ -624,10 +663,9 @@ impl ConcurrentScrapeManager {
     /// single evaluation lane.
     ///
     /// Store contents afterwards are **byte-identical** to calling
-    /// [`ConcurrentScrapeManager::scrape`] (or the synchronous manager) once
-    /// per time: parallelism changes wall-clock, never results. Readers
-    /// holding a [`TelemetryReader`] observe only whole committed rounds
-    /// throughout.
+    /// [`ConcurrentScrapeManager::scrape`] once per time: parallelism changes
+    /// wall-clock, never results. Readers holding a [`TelemetryReader`]
+    /// observe only whole committed rounds throughout.
     pub fn ingest(&mut self, cluster: &ClusterState, network: &Network, times: &[SimTime]) {
         if times.is_empty() {
             return;
@@ -641,16 +679,9 @@ impl ConcurrentScrapeManager {
         // pinned byte-identical by test), only the wall-clock differs.
         let series_per_round = 4 * cluster.node_count() + layout.pings.len();
         if series_per_round < self.ingest.sync_work_threshold {
-            // One set of per-shard batch buffers reused (with capacity)
-            // across every round: the fallback path stays allocation-free in
-            // steady state.
-            let mut batches = vec![Vec::new(); self.shared.router.shard_count()];
             for &t in times {
-                evaluate_round_into(&layout, cluster, network, t, &mut batches);
-                self.commit_inline(&mut batches);
-                self.publish_round(t);
+                self.scrape_round(&layout, cluster, network, t);
             }
-            self.scrape_count += times.len() as u64;
             self.cadence
                 .reanchor(*times.last().expect("non-empty"), self.config.interval);
             return;
@@ -824,7 +855,6 @@ impl SnapshotSource for TelemetryReader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ScrapeManager;
     use cluster::{Node, Resources};
     use simnet::{gbps, mbps, NodeId, TopologyBuilder};
 
@@ -854,26 +884,146 @@ mod tests {
         (cluster, network)
     }
 
-    #[test]
-    fn single_scrapes_match_sequential_manager() {
-        let (cluster, network) = setup(3);
-        let mut concurrent = ConcurrentScrapeManager::new(ScrapeConfig::default());
-        let mut sequential = ScrapeManager::new(ScrapeConfig::default());
-        for i in 0..6u64 {
-            let t = SimTime::from_secs(i * 5);
-            concurrent.scrape(&cluster, &network, t);
-            sequential.scrape(&cluster, &network, t);
+    /// The reference path: exporter-built samples appended to one store.
+    fn naive_store(
+        cluster: &ClusterState,
+        network: &Network,
+        times: &[SimTime],
+    ) -> TimeSeriesStore {
+        let mut store = TimeSeriesStore::with_retention(
+            ScrapeConfig::default()
+                .retention
+                .expect("default retention"),
+        );
+        for &t in times {
+            store.append_all(crate::node_exporter_samples(cluster, network, t));
+            store.append_all(crate::ping_mesh_samples(cluster, network, t));
         }
-        assert_eq!(concurrent.scrape_count(), sequential.scrape_count());
-        assert_eq!(concurrent.point_count(), sequential.store().point_count());
-        assert_eq!(concurrent.series_count(), sequential.store().series_count());
+        store
+    }
+
+    #[test]
+    fn single_scrapes_match_the_naive_store() {
+        let (cluster, network) = setup(3);
+        let times: Vec<SimTime> = (0..6u64).map(|i| SimTime::from_secs(i * 5)).collect();
+        let mut manager = ConcurrentScrapeManager::new(ScrapeConfig::default());
+        for &t in &times {
+            manager.scrape(&cluster, &network, t);
+        }
+        let reference = naive_store(&cluster, &network, &times);
+        assert_eq!(manager.scrape_count(), 6);
+        assert_eq!(manager.point_count(), reference.point_count());
+        assert_eq!(manager.series_count(), reference.series_count());
         let at = SimTime::from_secs(27);
         let window = SimDuration::from_secs(30);
-        let mut fast = ClusterSnapshot::default();
-        let mut flat = ClusterSnapshot::default();
-        SnapshotSource::snapshot_into(&concurrent, at, window, &mut fast);
-        sequential.snapshot_into(at, window, &mut flat);
-        assert_eq!(fast, flat);
+        let snap = SnapshotSource::snapshot(&manager, at, window);
+        assert_eq!(
+            serde_json::to_string(&snap).unwrap(),
+            serde_json::to_string(&ClusterSnapshot::from_store(&reference, at, window)).unwrap()
+        );
+    }
+
+    #[test]
+    fn inline_rounds_reuse_the_carried_batch_buffers() {
+        let (cluster, network) = setup(3);
+        let mut manager = ConcurrentScrapeManager::new(ScrapeConfig::default());
+        assert_eq!(manager.batches.len(), manager.ingest_config().shard_count);
+        manager.scrape(&cluster, &network, SimTime::from_secs(5));
+        // Drained in place: empty, but the capacity stays for the next round.
+        assert!(manager.batches.iter().all(Vec::is_empty));
+        let capacity: Vec<usize> = manager.batches.iter().map(Vec::capacity).collect();
+        assert!(capacity.iter().sum::<usize>() >= 3 * 4 + 3 * 2);
+        manager.scrape_if_due(&cluster, &network, SimTime::from_secs(10));
+        manager.ingest(&cluster, &network, &[SimTime::from_secs(15)]);
+        let after: Vec<usize> = manager.batches.iter().map(Vec::capacity).collect();
+        assert_eq!(after, capacity);
+        assert_eq!(manager.scrape_count(), 3);
+    }
+
+    /// Serialized snapshot of a manager at `at` over the default window.
+    fn snapshot_bytes(manager: &ConcurrentScrapeManager, at: SimTime) -> String {
+        let window = ScrapeConfig::default().rate_window;
+        serde_json::to_string(&SnapshotSource::snapshot(manager, at, window)).unwrap()
+    }
+
+    #[test]
+    fn forks_are_deep_and_independent_with_a_detached_publisher() {
+        let (cluster, network) = setup(3);
+        let mut original = ConcurrentScrapeManager::new(ScrapeConfig::default());
+        let published = original.published_handle();
+        for t in [5u64, 10] {
+            original.scrape(&cluster, &network, SimTime::from_secs(t));
+        }
+        let epoch = published.epoch();
+        let at = SimTime::from_secs(30);
+        let mut copy = original.fork();
+        let before = snapshot_bytes(&original, at);
+        assert_eq!(snapshot_bytes(&copy, at), before);
+        assert_eq!(copy.next_scrape_due(), original.next_scrape_due());
+        // The fork's publisher starts from the original's latest snapshot.
+        assert_eq!(
+            copy.published().map(|p| p.snapshot),
+            published.latest().map(|p| p.snapshot)
+        );
+
+        // A scrape on the fork moves neither the original's store nor its
+        // published epoch.
+        copy.scrape(&cluster, &network, SimTime::from_secs(15));
+        assert_eq!(snapshot_bytes(&original, at), before);
+        assert_eq!((original.scrape_count(), original.point_count()), (2, 36));
+        assert_eq!(published.epoch(), epoch);
+        let copy_bytes = snapshot_bytes(&copy, at);
+        assert_ne!(copy_bytes, before);
+
+        // And a scrape on the original leaves the fork alone.
+        original.scrape(&cluster, &network, SimTime::from_secs(20));
+        assert_eq!(snapshot_bytes(&copy, at), copy_bytes);
+        assert_eq!((copy.scrape_count(), copy.point_count()), (3, 54));
+        assert!(published.epoch() > epoch);
+    }
+
+    #[test]
+    fn forking_a_manager_with_a_live_writer_pool() {
+        let (cluster, network) = setup(3);
+        let times: Vec<SimTime> = (0..4u64).map(|i| SimTime::from_secs(i * 5)).collect();
+        let mut original = ConcurrentScrapeManager::with_ingest(
+            ScrapeConfig::default(),
+            IngestConfig {
+                shard_count: 3,
+                eval_workers: 1,
+                writer_workers: 2,
+                queue_depth: 1,
+                chunk_rounds: 2,
+                sync_work_threshold: 0,
+            },
+        );
+        original.ingest(&cluster, &network, &times);
+        assert!(original.writers.is_some());
+
+        let mut copy = original.fork();
+        assert!(
+            copy.writers.is_none(),
+            "a fork starts without a writer pool"
+        );
+        let at = SimTime::from_secs(40);
+        assert_eq!(snapshot_bytes(&copy, at), snapshot_bytes(&original, at));
+
+        // The fork's own pipelined ingest spawns its own pool.
+        let later: Vec<SimTime> = (4..8u64).map(|i| SimTime::from_secs(i * 5)).collect();
+        copy.ingest(&cluster, &network, &later);
+        assert!(copy.writers.is_some());
+        assert_eq!((original.scrape_count(), copy.scrape_count()), (4, 8));
+        drop(copy);
+        // The original's pool outlives the fork's and still commits.
+        original.ingest(&cluster, &network, &later);
+        assert_eq!(original.scrape_count(), 8);
+        let all: Vec<SimTime> = times.iter().chain(&later).copied().collect();
+        let reference = naive_store(&cluster, &network, &all);
+        let window = ScrapeConfig::default().rate_window;
+        assert_eq!(
+            snapshot_bytes(&original, at),
+            serde_json::to_string(&ClusterSnapshot::from_store(&reference, at, window)).unwrap()
+        );
     }
 
     #[test]
@@ -905,27 +1055,6 @@ mod tests {
         let b = SnapshotSource::snapshot(&one_by_one, at, window);
         assert_eq!(a, b);
         assert!(!a.is_empty());
-    }
-
-    #[test]
-    fn cadence_matches_sequential_manager() {
-        let (cluster, network) = setup(2);
-        let config = ScrapeConfig {
-            interval: SimDuration::from_secs(15),
-            ..Default::default()
-        };
-        let mut concurrent = ConcurrentScrapeManager::new(config.clone());
-        let mut sequential = ScrapeManager::new(config);
-        for t in [0u64, 10, 18, 29, 30, 100] {
-            let now = SimTime::from_secs(t);
-            assert_eq!(
-                concurrent.scrape_if_due(&cluster, &network, now),
-                sequential.scrape_if_due(&cluster, &network, now),
-                "t = {t}"
-            );
-            assert_eq!(concurrent.next_scrape_due(), sequential.next_scrape_due());
-        }
-        assert_eq!(concurrent.scrape_count(), sequential.scrape_count());
     }
 
     #[test]

@@ -13,19 +13,18 @@
 //! * [`exporters`] — the two exporters the paper deploys: a node exporter
 //!   (CPU load average, available memory, cumulative tx/rx bytes) and a
 //!   full-mesh ping exporter (pairwise RTT), both reading the simulated
-//!   cluster and network state; [`exporters::ExporterLayout`] is the
-//!   pre-interned fast path the scrape loop uses.
-//! * [`scrape`] — the scrape manager: drives all exporters on a grid-aligned
-//!   interval and appends into the store, exactly like a Prometheus server's
-//!   scrape loop.
-//! * [`shards`] — the store sharded by metric name: same semantics as the
-//!   flat store, per-shard appends and retention pruning.
-//! * [`ingest`] — the concurrent scrape pipeline over the shards:
-//!   evaluation workers and per-shard writer workers behind bounded queues,
-//!   with an epoch counter so readers ([`ingest::TelemetryReader`]) only
-//!   ever observe fully-committed scrape rounds.
-//! * [`publish`] — epoch-published immutable snapshots: the scrape managers
-//!   materialize one copy-on-write [`snapshot::ClusterSnapshot`] per
+//!   cluster and network state. The sample-building functions are the
+//!   reference; the scrape manager appends through a pre-interned layout.
+//! * [`scrape`] — the scrape configuration and its grid-aligned cadence.
+//! * [`ingest`] — the scrape manager, [`ConcurrentScrapeManager`]: drives
+//!   all exporters like a Prometheus server's scrape loop and appends into
+//!   one store per metric-name shard. Single rounds run inline; whole
+//!   schedules run through evaluation workers and per-shard writer workers
+//!   behind bounded queues (inline below a work threshold), with an epoch
+//!   counter so readers ([`ingest::TelemetryReader`]) only ever observe
+//!   fully-committed scrape rounds.
+//! * [`publish`] — epoch-published immutable snapshots: the scrape manager
+//!   materializes one copy-on-write [`snapshot::ClusterSnapshot`] per
 //!   committed round and publish it behind an atomic epoch counter, so any
 //!   number of [`publish::PublishedSnapshot`] readers fetch consistent
 //!   cluster state without touching the store or its locks.
@@ -43,16 +42,15 @@ pub mod ingest;
 pub mod metrics;
 pub mod publish;
 pub mod scrape;
-pub mod shards;
+mod shards;
 pub mod snapshot;
 pub mod store;
 
-pub use exporters::{node_exporter_samples, ping_mesh_samples, ExporterLayout};
+pub use exporters::{node_exporter_samples, ping_mesh_samples};
 pub use ingest::{ConcurrentScrapeManager, IngestConfig, TelemetryReader};
 pub use metrics::{Labels, MetricKind, Sample, SeriesKey};
 pub use publish::{PublishedEpoch, PublishedSnapshot, SnapshotPublisher};
-pub use scrape::{ScrapeConfig, ScrapeManager};
-pub use shards::{ShardRouter, ShardedSeriesId, ShardedTimeSeriesStore};
+pub use scrape::ScrapeConfig;
 pub use snapshot::{ClusterSnapshot, IndexedTelemetry, NodeTelemetry, RttMesh, SnapshotSource};
 pub use store::{SeriesId, TimeSeriesStore};
 

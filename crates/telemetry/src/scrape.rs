@@ -1,25 +1,17 @@
-//! The scrape manager: the Prometheus server's scrape loop.
+//! Scrape configuration and the Prometheus-style scrape cadence.
 //!
-//! The manager owns the store and an [`ExporterLayout`] — every exporter
-//! series pre-interned to a [`crate::SeriesId`] — so steady-state scrapes
-//! append raw values with zero key construction, and snapshot assembly
-//! ([`ScrapeManager::snapshot_into`]) runs entirely over interned ids.
-//!
-//! **Cadence.** Periodic scrapes ([`ScrapeManager::scrape_if_due`]) fire on a
-//! fixed schedule grid: a tick that arrives late still scrapes immediately,
-//! but the *next* due time advances from the grid (`last_due + interval`),
-//! not from the actual scrape time — one delayed caller can no longer
-//! permanently phase-shift the cadence. An explicit [`ScrapeManager::scrape`]
-//! is an operator action and re-anchors the grid at its own timestamp.
+//! **Cadence.** Periodic scrapes
+//! ([`crate::ConcurrentScrapeManager::scrape_if_due`]) fire on a fixed
+//! schedule grid: a tick that arrives late still scrapes immediately, but the
+//! *next* due time advances from the grid (`last_due + interval`), not from
+//! the actual scrape time — one delayed caller can no longer permanently
+//! phase-shift the cadence. An explicit
+//! [`crate::ConcurrentScrapeManager::scrape`] (or a whole
+//! [`crate::ConcurrentScrapeManager::ingest`] schedule) is an operator action
+//! and re-anchors the grid at its own (last) timestamp.
 
-use crate::exporters::{node_exporter_samples, ping_mesh_samples, ExporterLayout};
-use crate::publish::{PublishedEpoch, PublishedSnapshot, SnapshotPublisher};
-use crate::snapshot::{ClusterSnapshot, SnapshotSource};
-use crate::store::TimeSeriesStore;
-use cluster::ClusterState;
 use serde::{Deserialize, Serialize};
 use simcore::{SimDuration, SimTime};
-use simnet::Network;
 
 /// Scrape configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -43,10 +35,9 @@ impl Default for ScrapeConfig {
     }
 }
 
-/// The grid-aligned scrape schedule shared by every scrape-manager flavour
-/// (the synchronous [`ScrapeManager`] and the sharded
-/// [`crate::ConcurrentScrapeManager`]): tracks when the next periodic scrape
-/// is due and advances along the grid without drifting on late ticks.
+/// The grid-aligned scrape schedule of [`crate::ConcurrentScrapeManager`]:
+/// tracks when the next periodic scrape is due and advances along the grid
+/// without drifting on late ticks.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct ScrapeCadence {
     /// When the next periodic scrape is due (`None` = never scraped).
@@ -84,363 +75,5 @@ impl ScrapeCadence {
             due.as_nanos()
                 .saturating_add(steps.saturating_mul(interval.as_nanos())),
         ));
-    }
-}
-
-/// Drives the exporters on a fixed interval and stores the samples.
-#[derive(Debug, Clone)]
-pub struct ScrapeManager {
-    config: ScrapeConfig,
-    store: TimeSeriesStore,
-    /// Interned exporter series; rebuilt only when the cluster's node table
-    /// changes.
-    layout: Option<ExporterLayout>,
-    cadence: ScrapeCadence,
-    scrape_count: u64,
-    /// Epoch publisher (see [`crate::publish`]), activated lazily by
-    /// [`ScrapeManager::published_handle`]: once active, every scrape also publishes
-    /// an immutable snapshot of the new state. Cloning the manager detaches
-    /// the clone's publisher (fresh epochs; the original's handles keep
-    /// observing only the original).
-    publisher: Option<SnapshotPublisher>,
-    /// Timestamp of the last scrape (publish-on-activation support).
-    last_scrape: Option<SimTime>,
-}
-
-impl ScrapeManager {
-    /// Create a manager with the given configuration.
-    pub fn new(config: ScrapeConfig) -> Self {
-        let store = match config.retention {
-            Some(r) => TimeSeriesStore::with_retention(r),
-            None => TimeSeriesStore::new(),
-        };
-        ScrapeManager {
-            config,
-            store,
-            layout: None,
-            cadence: ScrapeCadence::default(),
-            scrape_count: 0,
-            publisher: None,
-            last_scrape: None,
-        }
-    }
-
-    /// A cheap cloneable handle over epoch-published immutable snapshots
-    /// (see [`crate::publish`]): one consistent snapshot per scrape,
-    /// resolved by readers with an atomic load plus an `Arc` clone — never
-    /// touching the store. Publishing activates on the first call; state
-    /// scraped before activation is published immediately.
-    pub fn published_handle(&mut self) -> PublishedSnapshot {
-        if self.publisher.is_none() {
-            let mut publisher = SnapshotPublisher::new();
-            if let Some(at) = self.last_scrape {
-                let store = &self.store;
-                let layout = self.layout.as_ref();
-                let rate_window = self.config.rate_window;
-                publisher.publish_with(|snap| match layout {
-                    Some(layout) => layout.snapshot_into(store, at, rate_window, snap),
-                    None => snap.assemble_from_store(store, at, rate_window),
-                });
-            }
-            self.publisher = Some(publisher);
-        }
-        self.publisher.as_ref().expect("publisher active").handle()
-    }
-
-    /// Record a scrape at `now` and, when publishing is active, publish the
-    /// next epoch's snapshot (copy-on-write over the previous epoch).
-    fn publish_round(&mut self, now: SimTime) {
-        self.last_scrape = Some(now);
-        if let Some(publisher) = &mut self.publisher {
-            let store = &self.store;
-            let layout = self.layout.as_ref();
-            let rate_window = self.config.rate_window;
-            publisher.publish_with(|snap| match layout {
-                Some(layout) => layout.snapshot_into(store, now, rate_window, snap),
-                None => snap.assemble_from_store(store, now, rate_window),
-            });
-        }
-    }
-
-    /// The scrape configuration.
-    pub fn config(&self) -> &ScrapeConfig {
-        &self.config
-    }
-
-    /// Read access to the underlying store.
-    pub fn store(&self) -> &TimeSeriesStore {
-        &self.store
-    }
-
-    /// The interned exporter layout, once the first scrape has built it.
-    pub fn layout(&self) -> Option<&ExporterLayout> {
-        self.layout.as_ref()
-    }
-
-    /// When the next scrape is due (immediately if never scraped).
-    pub fn next_scrape_due(&self) -> SimTime {
-        self.cadence.next_due()
-    }
-
-    /// Number of scrapes performed.
-    pub fn scrape_count(&self) -> u64 {
-        self.scrape_count
-    }
-
-    /// Run the exporters through the interned layout (building or rebuilding
-    /// it if the cluster changed) and append into the store.
-    fn scrape_inner(&mut self, cluster: &ClusterState, network: &Network, now: SimTime) {
-        let rebuild = match &self.layout {
-            Some(layout) => !layout.matches(cluster),
-            None => true,
-        };
-        if rebuild {
-            self.layout = Some(ExporterLayout::build(cluster, &mut self.store));
-        }
-        self.layout
-            .as_ref()
-            .expect("layout built above")
-            .scrape_into(cluster, network, now, &mut self.store);
-        self.scrape_count += 1;
-    }
-
-    /// Perform one explicit scrape of all exporters at time `now`,
-    /// re-anchoring the periodic schedule grid at `now`.
-    pub fn scrape(&mut self, cluster: &ClusterState, network: &Network, now: SimTime) {
-        self.scrape_inner(cluster, network, now);
-        self.publish_round(now);
-        self.cadence.reanchor(now, self.config.interval);
-    }
-
-    /// Scrape only if the next grid-aligned due time has been reached.
-    /// Returns `true` when a scrape happened. The next due time advances on
-    /// the schedule grid (`due + k·interval`), so a delayed tick does not
-    /// drift the due times of subsequent scrapes.
-    pub fn scrape_if_due(
-        &mut self,
-        cluster: &ClusterState,
-        network: &Network,
-        now: SimTime,
-    ) -> bool {
-        if !self.cadence.is_due(now) {
-            return false;
-        }
-        self.scrape_inner(cluster, network, now);
-        self.publish_round(now);
-        self.cadence.advance_on_grid(now, self.config.interval);
-        true
-    }
-
-    /// Assemble the scheduler-facing snapshot at `at` into `snap`, reusing
-    /// its storage. Uses the interned layout when available (the hot path —
-    /// no name resolution, cost independent of retained history), falling
-    /// back to the generic store walk before the first scrape.
-    pub fn snapshot_into(&self, at: SimTime, rate_window: SimDuration, snap: &mut ClusterSnapshot) {
-        match &self.layout {
-            Some(layout) => layout.snapshot_into(&self.store, at, rate_window, snap),
-            None => snap.assemble_from_store(&self.store, at, rate_window),
-        }
-    }
-
-    /// Reference scrape path used by tests: append exporter-built samples
-    /// without the interned layout (produces identical store contents).
-    #[doc(hidden)]
-    pub fn scrape_via_samples(&mut self, cluster: &ClusterState, network: &Network, now: SimTime) {
-        self.store
-            .append_all(node_exporter_samples(cluster, network, now));
-        self.store
-            .append_all(ping_mesh_samples(cluster, network, now));
-        self.scrape_count += 1;
-        self.publish_round(now);
-        self.cadence.reanchor(now, self.config.interval);
-    }
-}
-
-impl SnapshotSource for ScrapeManager {
-    fn snapshot_into(&self, at: SimTime, rate_window: SimDuration, snap: &mut ClusterSnapshot) {
-        ScrapeManager::snapshot_into(self, at, rate_window, snap);
-    }
-
-    fn published(&self) -> Option<PublishedEpoch> {
-        self.publisher.as_ref().and_then(SnapshotPublisher::latest)
-    }
-
-    fn published_epoch(&self) -> Option<u64> {
-        match self.publisher.as_ref().map_or(0, SnapshotPublisher::epoch) {
-            0 => None,
-            epoch => Some(epoch),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::{METRIC_NODE_LOAD1, METRIC_PING_RTT};
-    use cluster::{Node, Resources};
-    use simnet::{gbps, mbps, NodeId, TopologyBuilder};
-
-    fn setup() -> (ClusterState, Network) {
-        let mut b = TopologyBuilder::new();
-        let s0 = b.add_site("UCSD", SimDuration::from_micros(200), gbps(10.0));
-        let s1 = b.add_site("FIU", SimDuration::from_micros(200), gbps(10.0));
-        b.add_node("node-1", s0, gbps(1.0), gbps(1.0));
-        b.add_node("node-2", s1, gbps(1.0), gbps(1.0));
-        b.connect_sites(s0, s1, SimDuration::from_millis(10), mbps(500.0));
-        let network = Network::new(b.build().unwrap());
-        let mut cluster = ClusterState::new();
-        cluster.add_node(Node::new(
-            "node-1",
-            NodeId(0),
-            Resources::from_cores_and_gib(6, 8),
-            "UCSD",
-        ));
-        cluster.add_node(Node::new(
-            "node-2",
-            NodeId(1),
-            Resources::from_cores_and_gib(6, 8),
-            "FIU",
-        ));
-        (cluster, network)
-    }
-
-    #[test]
-    fn scrape_populates_store() {
-        let (cluster, network) = setup();
-        let mut mgr = ScrapeManager::new(ScrapeConfig::default());
-        assert_eq!(mgr.scrape_count(), 0);
-        assert!(mgr.layout().is_none());
-        mgr.scrape(&cluster, &network, SimTime::from_secs(10));
-        assert_eq!(mgr.scrape_count(), 1);
-        assert!(mgr.layout().is_some());
-        // 2 nodes x 4 node metrics + 2 ping pairs = 10 series.
-        assert_eq!(mgr.store().series_count(), 10);
-        assert_eq!(
-            mgr.store()
-                .instant_by_name(METRIC_NODE_LOAD1, SimTime::from_secs(20))
-                .len(),
-            2
-        );
-        assert_eq!(
-            mgr.store()
-                .instant_by_name(METRIC_PING_RTT, SimTime::from_secs(20))
-                .len(),
-            2
-        );
-    }
-
-    #[test]
-    fn scrape_if_due_respects_interval() {
-        let (cluster, network) = setup();
-        let mut mgr = ScrapeManager::new(ScrapeConfig {
-            interval: SimDuration::from_secs(15),
-            ..Default::default()
-        });
-        assert_eq!(mgr.next_scrape_due(), SimTime::ZERO);
-        assert!(mgr.scrape_if_due(&cluster, &network, SimTime::from_secs(0)));
-        assert!(!mgr.scrape_if_due(&cluster, &network, SimTime::from_secs(10)));
-        assert_eq!(mgr.next_scrape_due(), SimTime::from_secs(15));
-        assert!(mgr.scrape_if_due(&cluster, &network, SimTime::from_secs(15)));
-        assert_eq!(mgr.scrape_count(), 2);
-    }
-
-    #[test]
-    fn delayed_tick_does_not_drift_the_grid() {
-        let (cluster, network) = setup();
-        let mut mgr = ScrapeManager::new(ScrapeConfig {
-            interval: SimDuration::from_secs(15),
-            ..Default::default()
-        });
-        assert!(mgr.scrape_if_due(&cluster, &network, SimTime::from_secs(0)));
-        // The t=15 tick arrives 3 s late: it scrapes, but the next due time
-        // stays on the grid (30 s), not 18 + 15.
-        assert!(mgr.scrape_if_due(&cluster, &network, SimTime::from_secs(18)));
-        assert_eq!(mgr.next_scrape_due(), SimTime::from_secs(30));
-        assert!(!mgr.scrape_if_due(&cluster, &network, SimTime::from_secs(29)));
-        assert!(mgr.scrape_if_due(&cluster, &network, SimTime::from_secs(30)));
-        assert_eq!(mgr.next_scrape_due(), SimTime::from_secs(45));
-        // A very late tick skips the missed grid points entirely (no burst of
-        // catch-up scrapes) and lands on the next future grid point.
-        assert!(mgr.scrape_if_due(&cluster, &network, SimTime::from_secs(100)));
-        assert_eq!(mgr.next_scrape_due(), SimTime::from_secs(105));
-        assert_eq!(mgr.scrape_count(), 4);
-    }
-
-    #[test]
-    fn explicit_scrape_reanchors_the_grid() {
-        let (cluster, network) = setup();
-        let mut mgr = ScrapeManager::new(ScrapeConfig {
-            interval: SimDuration::from_secs(15),
-            ..Default::default()
-        });
-        assert!(mgr.scrape_if_due(&cluster, &network, SimTime::from_secs(0)));
-        // An operator-style scrape at t=7 restarts the cadence from there.
-        mgr.scrape(&cluster, &network, SimTime::from_secs(7));
-        assert_eq!(mgr.next_scrape_due(), SimTime::from_secs(22));
-    }
-
-    #[test]
-    fn repeated_scrapes_accumulate_points() {
-        let (cluster, network) = setup();
-        let mut mgr = ScrapeManager::new(ScrapeConfig::default());
-        for i in 0..5u64 {
-            mgr.scrape(&cluster, &network, SimTime::from_secs(i * 5));
-        }
-        assert_eq!(mgr.store().point_count(), 10 * 5);
-        assert_eq!(mgr.config().rate_window, SimDuration::from_secs(30));
-    }
-
-    #[test]
-    fn no_retention_config_is_supported() {
-        let (cluster, network) = setup();
-        let mut mgr = ScrapeManager::new(ScrapeConfig {
-            retention: None,
-            ..Default::default()
-        });
-        mgr.scrape(&cluster, &network, SimTime::from_secs(1));
-        assert!(mgr.store().point_count() > 0);
-    }
-
-    #[test]
-    fn snapshot_into_matches_generic_assembly() {
-        let (cluster, network) = setup();
-        let mut mgr = ScrapeManager::new(ScrapeConfig::default());
-        // Before any scrape: the generic fallback yields an empty snapshot.
-        let mut snap = ClusterSnapshot::default();
-        mgr.snapshot_into(SimTime::from_secs(1), SimDuration::from_secs(30), &mut snap);
-        assert!(snap.is_empty());
-
-        for i in 0..8u64 {
-            mgr.scrape_if_due(&cluster, &network, SimTime::from_secs(i * 5));
-        }
-        let at = SimTime::from_secs(36);
-        let window = SimDuration::from_secs(30);
-        mgr.snapshot_into(at, window, &mut snap);
-        let generic = ClusterSnapshot::from_store(mgr.store(), at, window);
-        assert_eq!(snap, generic);
-        assert_eq!(snap.node_names(), vec!["node-1", "node-2"]);
-    }
-
-    #[test]
-    fn sample_building_reference_path_matches_interned_scrapes() {
-        let (cluster, network) = setup();
-        let mut interned = ScrapeManager::new(ScrapeConfig::default());
-        let mut reference = ScrapeManager::new(ScrapeConfig::default());
-        for i in 0..4u64 {
-            let t = SimTime::from_secs(i * 5);
-            interned.scrape(&cluster, &network, t);
-            reference.scrape_via_samples(&cluster, &network, t);
-        }
-        assert_eq!(interned.scrape_count(), reference.scrape_count());
-        assert_eq!(
-            interned.store().point_count(),
-            reference.store().point_count()
-        );
-        let at = SimTime::from_secs(20);
-        let w = SimDuration::from_secs(30);
-        assert_eq!(
-            ClusterSnapshot::from_store(interned.store(), at, w),
-            ClusterSnapshot::from_store(reference.store(), at, w)
-        );
     }
 }

@@ -292,10 +292,11 @@ pub struct ClusterSnapshot {
     nodes: Vec<Option<NodeTelemetry>>,
     /// Pairwise RTT measurements keyed by `(source, target)` node ids.
     rtt: RttMesh,
-    /// Generation of the [`crate::ExporterLayout`] that last installed this
-    /// snapshot's node table via [`ClusterSnapshot::reset_for_generation`]
-    /// (0 = none / table mutated since). Purely an internal fast-path stamp:
-    /// excluded from equality and serialization.
+    /// Generation of the scrape manager's exporter layout that last installed
+    /// this snapshot's node table via
+    /// [`ClusterSnapshot::reset_for_generation`] (0 = none / table mutated
+    /// since). Purely an internal fast-path stamp: excluded from equality and
+    /// serialization.
     layout_generation: u64,
 }
 
@@ -351,10 +352,13 @@ impl ClusterSnapshot {
             if self.nodes[idx].is_none() {
                 continue;
             }
-            let tx_key = SeriesKey::per_node(METRIC_NODE_TX_BYTES, &self.names[idx]);
-            let rx_key = SeriesKey::per_node(METRIC_NODE_RX_BYTES, &self.names[idx]);
-            let tx = store.rate(&tx_key, at, rate_window).unwrap_or(0.0);
-            let rx = store.rate(&rx_key, at, rate_window).unwrap_or(0.0);
+            let rate = |metric: &str| {
+                store
+                    .series_id(&SeriesKey::per_node(metric, &self.names[idx]))
+                    .and_then(|id| store.rate_id(id, at, rate_window))
+                    .unwrap_or(0.0)
+            };
+            let (tx, rx) = (rate(METRIC_NODE_TX_BYTES), rate(METRIC_NODE_RX_BYTES));
             let entry = self.nodes[idx].as_mut().expect("checked above");
             entry.tx_rate = tx;
             entry.rx_rate = rx;
@@ -735,13 +739,13 @@ impl PartialEq for ClusterSnapshot {
     }
 }
 
-/// Anything the scheduler can fetch a telemetry snapshot from: the
-/// synchronous [`crate::ScrapeManager`], the sharded
-/// [`crate::ConcurrentScrapeManager`], or a [`crate::TelemetryReader`] handle
-/// observing a concurrent ingest from another thread. The telemetry fetcher
-/// and scheduler service are generic over this trait, so decision bursts can
-/// run against a live concurrent ingest without the core crate knowing which
-/// backend is wired in.
+/// Anything the scheduler can fetch a telemetry snapshot from: the scrape
+/// manager ([`crate::ConcurrentScrapeManager`]), a [`crate::TelemetryReader`]
+/// handle observing its ingest from another thread, or a
+/// [`crate::PublishedSnapshot`] handle over its published epochs. The
+/// telemetry fetcher and scheduler service are generic over this trait, so
+/// decision bursts can run against a live concurrent ingest without the core
+/// crate knowing which source is wired in.
 pub trait SnapshotSource {
     /// Assemble the snapshot at `at` into `snap`, reusing its storage.
     fn snapshot_into(&self, at: SimTime, rate_window: SimDuration, snap: &mut ClusterSnapshot);
@@ -898,6 +902,15 @@ mod tests {
         assert!(snap.node("node-9").is_none());
         assert_eq!(snap.rtt().len(), 2);
         assert_eq!(snap.iter_nodes().count(), 2);
+        assert_eq!(snap.time, SimTime::from_secs(35));
+
+        // A rate window too narrow to hold two counter samples reports a
+        // zero rate (cold start), while instant gauges still resolve.
+        let narrow =
+            ClusterSnapshot::from_store(&store, SimTime::from_secs(35), SimDuration::from_secs(5));
+        let n1 = narrow.node("node-1").unwrap();
+        assert_eq!((n1.tx_rate, n1.rx_rate), (0.0, 0.0));
+        assert_eq!(n1.cpu_load, 1.5);
     }
 
     #[test]

@@ -5,17 +5,16 @@
 //! work independent of retained history:
 //!
 //! * **Interned series identity.** Every [`SeriesKey`] is interned once into a
-//!   small copyable [`SeriesId`] (its index in the store's key table). All
-//!   queries have an `*_id` fast path that skips the key comparison entirely,
-//!   and a per-metric-name index makes "all series of metric X"
+//!   small copyable [`SeriesId`] (its index in the store's key table). Queries
+//!   take ids (`*_id`), so they skip the key comparison entirely; a key
+//!   resolves to its id once ([`TimeSeriesStore::series_id`]), and a
+//!   per-metric-name index makes "all series of metric X"
 //!   ([`TimeSeriesStore::ids_for_name`]) a direct bucket lookup instead of a
 //!   full-keyspace scan.
-//! * **Windowed queries without intermediate allocation.** `range`, `rate`
-//!   and `avg_over` slice the time-ordered point vector with two
-//!   `partition_point` binary searches and operate on the borrowed window —
-//!   no `Vec` is built per query. [`TimeSeriesStore::range`] returns the
-//!   borrowed slice directly; [`TimeSeriesStore::range_vec`] is the owning
-//!   shim for serde-ish consumers that need a `Vec`.
+//! * **Windowed queries without intermediate allocation.** `range_id`,
+//!   `rate_id` and `avg_over_id` slice the time-ordered point vector (a short
+//!   walk back from the tail, or `partition_point` binary searches) and
+//!   operate on the borrowed window — no `Vec` is built per query.
 
 use crate::metrics::{MetricKind, Sample, SeriesKey};
 use serde::{Deserialize, Serialize};
@@ -259,11 +258,9 @@ impl TimeSeriesStore {
         true
     }
 
-    /// Advance the retention watermark without appending a sample.
-    ///
-    /// Sharded deployments call this so every shard prunes against the
-    /// *global* newest timestamp (a shard only ingesting slow-moving metrics
-    /// would otherwise retain more history than the flat store it replaces).
+    /// Advance the retention watermark without appending a sample, so the
+    /// store prunes against a newest timestamp seen elsewhere (deserialization
+    /// restores an archived watermark this way).
     pub fn observe_time(&mut self, timestamp: SimTime) {
         if timestamp > self.max_ts {
             self.max_ts = timestamp;
@@ -293,11 +290,6 @@ impl TimeSeriesStore {
         self.series.iter().map(|s| s.live().len()).sum()
     }
 
-    /// Latest value of a series at or before `at`.
-    pub fn instant(&self, key: &SeriesKey, at: SimTime) -> Option<f64> {
-        self.instant_id(self.series_id(key)?, at)
-    }
-
     /// Latest value of a pre-interned series at or before `at`.
     ///
     /// The common per-decision query asks for the freshest sample (`at` at or
@@ -319,16 +311,8 @@ impl TimeSeriesStore {
         }
     }
 
-    /// All points of a series with timestamps in `[from, to]`, as a borrowed
-    /// slice of the series storage (no allocation).
-    pub fn range(&self, key: &SeriesKey, from: SimTime, to: SimTime) -> &[(SimTime, f64)] {
-        match self.series_id(key) {
-            Some(id) => self.range_id(id, from, to),
-            None => &[],
-        }
-    }
-
-    /// Borrowed window `[from, to]` of a pre-interned series.
+    /// All points of a pre-interned series with timestamps in `[from, to]`,
+    /// as a borrowed slice of the series storage (no allocation).
     ///
     /// Decision-path windows (rate lookbacks) end at the series tail and span
     /// a handful of points, so the bounds are found by a short backward walk
@@ -354,21 +338,10 @@ impl TimeSeriesStore {
         &points[lo..hi]
     }
 
-    /// Owning variant of [`TimeSeriesStore::range`] for consumers that need a
-    /// `Vec` (serde payloads, archival exports). Hot paths use the borrowed
-    /// slice.
-    pub fn range_vec(&self, key: &SeriesKey, from: SimTime, to: SimTime) -> Vec<(SimTime, f64)> {
-        self.range(key, from, to).to_vec()
-    }
-
-    /// Prometheus-style `rate()`: the per-second increase of a counter over
-    /// the window `[at - window, at]`. Returns `None` when fewer than two
-    /// points fall in the window or the series is not a counter.
-    pub fn rate(&self, key: &SeriesKey, at: SimTime, window: SimDuration) -> Option<f64> {
-        self.rate_id(self.series_id(key)?, at, window)
-    }
-
-    /// `rate()` over a pre-interned counter series.
+    /// Prometheus-style `rate()` over a pre-interned series: the per-second
+    /// increase of a counter over the window `[at - window, at]`. Returns
+    /// `None` when fewer than two points fall in the window or the series is
+    /// not a counter.
     pub fn rate_id(&self, id: SeriesId, at: SimTime, window: SimDuration) -> Option<f64> {
         if self.series[id.index()].kind != MetricKind::Counter {
             return None;
@@ -399,12 +372,7 @@ impl TimeSeriesStore {
             .collect()
     }
 
-    /// Average of a series over `[at - window, at]` (gauges).
-    pub fn avg_over(&self, key: &SeriesKey, at: SimTime, window: SimDuration) -> Option<f64> {
-        self.avg_over_id(self.series_id(key)?, at, window)
-    }
-
-    /// Average over a pre-interned series.
+    /// Average of a pre-interned series over `[at - window, at]` (gauges).
     pub fn avg_over_id(&self, id: SeriesId, at: SimTime, window: SimDuration) -> Option<f64> {
         let from_nanos = at.as_nanos().saturating_sub(window.as_nanos());
         let pts = self.range_id(id, SimTime::from_nanos(from_nanos), at);
@@ -487,9 +455,9 @@ impl Deserialize for TimeSeriesStore {
         for (t, id, value) in replay {
             store.append_value(id, value, t);
         }
-        // Restore a watermark that ran ahead of every stored sample (e.g. a
-        // sharded deployment observing the global newest timestamp); replayed
-        // samples already advanced it at least to their own maximum.
+        // Restore a watermark that ran ahead of every stored sample
+        // (advanced through `observe_time`); replayed samples already
+        // advanced it at least to their own maximum.
         store.observe_time(watermark);
         Ok(store)
     }
@@ -503,23 +471,27 @@ mod tests {
         SeriesKey::per_node(name, node)
     }
 
+    /// The id of an interned series (the tests below only ask for series
+    /// they appended).
+    fn id(store: &TimeSeriesStore, key: &SeriesKey) -> SeriesId {
+        store.series_id(key).expect("series was appended")
+    }
+
     #[test]
     fn append_and_instant_query() {
         let mut store = TimeSeriesStore::new();
         let k = key("node_load1", "node-1");
         store.append(Sample::gauge(k.clone(), 0.5, SimTime::from_secs(10)));
         store.append(Sample::gauge(k.clone(), 0.9, SimTime::from_secs(20)));
-        assert_eq!(store.instant(&k, SimTime::from_secs(5)), None);
-        assert_eq!(store.instant(&k, SimTime::from_secs(10)), Some(0.5));
-        assert_eq!(store.instant(&k, SimTime::from_secs(15)), Some(0.5));
-        assert_eq!(store.instant(&k, SimTime::from_secs(25)), Some(0.9));
+        let k = id(&store, &k);
+        assert_eq!(store.instant_id(k, SimTime::from_secs(5)), None);
+        assert_eq!(store.instant_id(k, SimTime::from_secs(10)), Some(0.5));
+        assert_eq!(store.instant_id(k, SimTime::from_secs(15)), Some(0.5));
+        assert_eq!(store.instant_id(k, SimTime::from_secs(25)), Some(0.9));
         assert_eq!(store.series_count(), 1);
         assert_eq!(store.point_count(), 2);
-        // Unknown series.
-        assert_eq!(
-            store.instant(&key("nope", "node-1"), SimTime::from_secs(30)),
-            None
-        );
+        // Unknown series resolve to no id.
+        assert_eq!(store.series_id(&key("nope", "node-1")), None);
     }
 
     #[test]
@@ -546,16 +518,17 @@ mod tests {
         let k = key("node_load1", "node-1");
         store.append(Sample::gauge(k.clone(), 1.0, SimTime::from_secs(10)));
         store.append(Sample::gauge(k.clone(), 2.0, SimTime::from_secs(5)));
+        let id = id(&store, &k);
         assert_eq!(store.point_count(), 1);
-        assert_eq!(store.instant(&k, SimTime::from_secs(30)), Some(1.0));
+        assert_eq!(store.instant_id(id, SimTime::from_secs(30)), Some(1.0));
         // A duplicate sample for the tail timestamp is dropped (Prometheus's
         // "duplicate sample for timestamp" rule): the first write wins and the
         // instant is not double-counted by windowed aggregations.
         store.append(Sample::gauge(k.clone(), 3.0, SimTime::from_secs(10)));
         assert_eq!(store.point_count(), 1);
-        assert_eq!(store.instant(&k, SimTime::from_secs(30)), Some(1.0));
+        assert_eq!(store.instant_id(id, SimTime::from_secs(30)), Some(1.0));
         assert_eq!(
-            store.avg_over(&k, SimTime::from_secs(10), SimDuration::from_secs(10)),
+            store.avg_over_id(id, SimTime::from_secs(10), SimDuration::from_secs(10)),
             Some(1.0)
         );
     }
@@ -571,18 +544,33 @@ mod tests {
                 SimTime::from_secs(i * 10),
             ));
         }
-        let pts = store.range(&k, SimTime::from_secs(25), SimTime::from_secs(55));
+        let k = id(&store, &k);
+        let pts = store.range_id(k, SimTime::from_secs(25), SimTime::from_secs(55));
         assert_eq!(pts.len(), 3); // t = 30, 40, 50
         assert_eq!(pts[0].1, 3.0);
         assert_eq!(pts[2].1, 5.0);
         assert!(store
-            .range(&key("x", "y"), SimTime::ZERO, SimTime::MAX)
+            .range_id(k, SimTime::from_secs(91), SimTime::MAX)
             .is_empty());
-        // The owning shim returns the same window.
+        // A window deeper than the short tail walk (> 32 points back) takes
+        // the binary-search fallback and returns the same slice shape.
+        for i in 10..100u64 {
+            store.append(Sample::gauge(
+                key("node_load1", "node-2"),
+                i as f64,
+                SimTime::from_secs(i * 10),
+            ));
+        }
+        let deep = store.range_id(k, SimTime::from_secs(25), SimTime::from_secs(55));
         assert_eq!(
-            store.range_vec(&k, SimTime::from_secs(25), SimTime::from_secs(55)),
-            pts.to_vec()
+            deep,
+            &[
+                (SimTime::from_secs(30), 3.0),
+                (SimTime::from_secs(40), 4.0),
+                (SimTime::from_secs(50), 5.0)
+            ]
         );
+        assert_eq!(store.range_id(k, SimTime::ZERO, SimTime::MAX).len(), 100);
     }
 
     #[test]
@@ -597,13 +585,14 @@ mod tests {
                 SimTime::from_secs(i * 15),
             ));
         }
+        let k = id(&store, &k);
         let rate = store
-            .rate(&k, SimTime::from_secs(60), SimDuration::from_secs(30))
+            .rate_id(k, SimTime::from_secs(60), SimDuration::from_secs(30))
             .unwrap();
         assert!((rate - 1000.0).abs() < 1e-9);
         // Window too small for two samples.
         assert_eq!(
-            store.rate(&k, SimTime::from_secs(60), SimDuration::from_secs(10)),
+            store.rate_id(k, SimTime::from_secs(60), SimDuration::from_secs(10)),
             None
         );
         // Gauges have no rate.
@@ -611,7 +600,11 @@ mod tests {
         store.append(Sample::gauge(g.clone(), 1.0, SimTime::from_secs(0)));
         store.append(Sample::gauge(g.clone(), 2.0, SimTime::from_secs(30)));
         assert_eq!(
-            store.rate(&g, SimTime::from_secs(60), SimDuration::from_secs(60)),
+            store.rate_id(
+                id(&store, &g),
+                SimTime::from_secs(60),
+                SimDuration::from_secs(60)
+            ),
             None
         );
     }
@@ -623,7 +616,11 @@ mod tests {
         store.append(Sample::counter(k.clone(), 1000.0, SimTime::from_secs(0)));
         store.append(Sample::counter(k.clone(), 10.0, SimTime::from_secs(10)));
         let r = store
-            .rate(&k, SimTime::from_secs(10), SimDuration::from_secs(20))
+            .rate_id(
+                id(&store, &k),
+                SimTime::from_secs(10),
+                SimDuration::from_secs(20),
+            )
             .unwrap();
         assert_eq!(r, 0.0);
     }
@@ -641,8 +638,9 @@ mod tests {
         }
         // Last timestamp is 90 s; retention 30 s keeps points at >= 60 s.
         assert_eq!(store.point_count(), 4);
-        assert_eq!(store.instant(&k, SimTime::from_secs(55)), None);
-        assert_eq!(store.instant(&k, SimTime::from_secs(95)), Some(9.0));
+        let k = id(&store, &k);
+        assert_eq!(store.instant_id(k, SimTime::from_secs(55)), None);
+        assert_eq!(store.instant_id(k, SimTime::from_secs(95)), Some(9.0));
     }
 
     #[test]
@@ -657,14 +655,16 @@ mod tests {
         // the watermark cutoff (100 - 30 = 70), not against its own stale
         // timestamp: the t = 60 point falls out even though 60 >= 75 - 30.
         store.append(Sample::gauge(b.clone(), 2.0, SimTime::from_secs(75)));
-        assert_eq!(store.instant(&b, SimTime::MAX), Some(2.0));
-        assert_eq!(store.range(&b, SimTime::ZERO, SimTime::MAX).len(), 1);
+        let b = id(&store, &b);
+        assert_eq!(store.instant_id(b, SimTime::MAX), Some(2.0));
+        assert_eq!(store.range_id(b, SimTime::ZERO, SimTime::MAX).len(), 1);
         // A late sample older than the whole retention window is discarded
         // outright rather than resurrecting already-pruned history.
         let c = key("node_load1", "node-c");
         store.append(Sample::gauge(c.clone(), 3.0, SimTime::from_secs(50)));
-        assert_eq!(store.instant(&c, SimTime::MAX), None);
-        assert!(store.range(&c, SimTime::ZERO, SimTime::MAX).is_empty());
+        let c = id(&store, &c);
+        assert_eq!(store.instant_id(c, SimTime::MAX), None);
+        assert!(store.range_id(c, SimTime::ZERO, SimTime::MAX).is_empty());
         // The watermark never regressed.
         assert_eq!(store.max_timestamp(), SimTime::from_secs(100));
     }
@@ -682,9 +682,9 @@ mod tests {
         // Appends against the observed watermark prune as if the newest
         // sample lived in this store.
         store.append_value(id, 1.0, SimTime::from_secs(50));
-        assert_eq!(store.instant(&k, SimTime::MAX), None);
+        assert_eq!(store.instant_id(id, SimTime::MAX), None);
         store.append_value(id, 2.0, SimTime::from_secs(80));
-        assert_eq!(store.instant(&k, SimTime::MAX), Some(2.0));
+        assert_eq!(store.instant_id(id, SimTime::MAX), Some(2.0));
         // A watermark that runs ahead of every stored sample survives a
         // serialization roundtrip (it cannot be rebuilt from the points).
         let back: TimeSeriesStore =
@@ -709,14 +709,12 @@ mod tests {
         let back: TimeSeriesStore =
             serde_json::from_str(&serde_json::to_string(&store).unwrap()).unwrap();
         assert_eq!(back.point_count(), store.point_count());
-        assert_eq!(
-            back.range(&b, SimTime::ZERO, SimTime::MAX),
-            store.range(&b, SimTime::ZERO, SimTime::MAX)
-        );
-        assert_eq!(
-            back.range(&a, SimTime::ZERO, SimTime::MAX),
-            store.range(&a, SimTime::ZERO, SimTime::MAX)
-        );
+        for k in [&a, &b] {
+            assert_eq!(
+                back.range_id(id(&back, k), SimTime::ZERO, SimTime::MAX),
+                store.range_id(id(&store, k), SimTime::ZERO, SimTime::MAX)
+            );
+        }
         assert_eq!(back.max_timestamp(), store.max_timestamp());
     }
 
@@ -751,12 +749,13 @@ mod tests {
         for (t, v) in [(10u64, 1.0), (20, 2.0), (30, 3.0), (40, 4.0)] {
             store.append(Sample::gauge(k.clone(), v, SimTime::from_secs(t)));
         }
+        let k = id(&store, &k);
         let avg = store
-            .avg_over(&k, SimTime::from_secs(40), SimDuration::from_secs(20))
+            .avg_over_id(k, SimTime::from_secs(40), SimDuration::from_secs(20))
             .unwrap();
         assert!((avg - 3.0).abs() < 1e-9); // points at 20, 30, 40
         assert_eq!(
-            store.avg_over(&k, SimTime::from_secs(5), SimDuration::from_secs(2)),
+            store.avg_over_id(k, SimTime::from_secs(5), SimDuration::from_secs(2)),
             None
         );
     }
@@ -792,41 +791,17 @@ mod tests {
         assert_eq!(back.series_count(), store.series_count());
         assert_eq!(back.point_count(), store.point_count());
         let k = key("ctr", "node-1");
+        let (old, new) = (id(&store, &k), id(&back, &k));
         let at = SimTime::from_secs(45);
-        assert_eq!(back.instant(&k, at), store.instant(&k, at));
+        assert_eq!(back.instant_id(new, at), store.instant_id(old, at));
         assert_eq!(
-            back.rate(&k, at, SimDuration::from_secs(60)),
-            store.rate(&k, at, SimDuration::from_secs(60))
+            back.rate_id(new, at, SimDuration::from_secs(60)),
+            store.rate_id(old, at, SimDuration::from_secs(60))
         );
-        assert_eq!(back.kind(back.series_id(&k).unwrap()), MetricKind::Counter);
+        assert_eq!(back.kind(new), MetricKind::Counter);
         assert_eq!(back.ids_for_name("g").len(), 2);
         // Malformed payloads are rejected rather than trusted.
         assert!(serde_json::from_str::<TimeSeriesStore>("{\"retention\":null}").is_err());
         assert!(serde_json::from_str::<TimeSeriesStore>("[]").is_err());
-    }
-
-    #[test]
-    fn id_queries_match_key_queries() {
-        let mut store = TimeSeriesStore::with_retention(SimDuration::from_secs(500));
-        let k = key("ctr", "node-1");
-        for i in 0..40u64 {
-            store.append(Sample::counter(
-                k.clone(),
-                (i * i) as f64,
-                SimTime::from_secs(i * 7),
-            ));
-        }
-        let id = store.series_id(&k).unwrap();
-        for t in [0u64, 35, 100, 273, 500] {
-            let at = SimTime::from_secs(t);
-            assert_eq!(store.instant(&k, at), store.instant_id(id, at));
-            let w = SimDuration::from_secs(60);
-            assert_eq!(store.rate(&k, at, w), store.rate_id(id, at, w));
-            assert_eq!(store.avg_over(&k, at, w), store.avg_over_id(id, at, w));
-            assert_eq!(
-                store.range(&k, SimTime::from_secs(t / 2), at),
-                store.range_id(id, SimTime::from_secs(t / 2), at)
-            );
-        }
     }
 }

@@ -1,7 +1,7 @@
-//! A tour of the telemetry substrate: exporters, the scrape loop, the
-//! time-series store, rate queries and the feature vectors the scheduler
-//! consumes — the plumbing between "a pod is busy downloading" and "the model
-//! sees a congested node".
+//! A tour of the telemetry substrate: exporters, the scrape manager, the
+//! snapshots it assembles (rates derived from byte counters, the RTT mesh)
+//! and the feature vectors the scheduler consumes — the plumbing between "a
+//! pod is busy downloading" and "the model sees a congested node".
 //!
 //! ```text
 //! cargo run --release --example telemetry_tour
@@ -13,7 +13,7 @@ use netsched::experiments::{FabricTestbed, SimWorld};
 use netsched::simcore::{SimDuration, SimTime};
 use netsched::simnet::BackgroundLoadConfig;
 use netsched::sparksim::WorkloadKind;
-use netsched::telemetry::{SeriesKey, METRIC_NODE_TX_BYTES, METRIC_PING_RTT};
+use netsched::telemetry::{SnapshotSource, METRIC_NODE_TX_BYTES, METRIC_PING_RTT};
 
 fn main() {
     let mut world = SimWorld::new(FabricTestbed::paper(), 7);
@@ -28,29 +28,27 @@ fn main() {
     );
     world.advance_by(SimDuration::from_secs(60));
 
-    // --- Raw time-series queries, Prometheus-style. ---
-    let store = world.metrics.store();
+    // --- What the metrics server holds, and the snapshot it assembles. ---
     println!(
-        "stored series: {}, points: {}",
-        store.series_count(),
-        store.point_count()
+        "stored series: {}, points: {} ({} scrapes)",
+        world.metrics.series_count(),
+        world.metrics.point_count(),
+        world.metrics.scrape_count()
     );
+    let snapshot = world.snapshot();
     let now = world.now();
-    for node in world.cluster.node_names() {
-        let tx_key = SeriesKey::per_node(METRIC_NODE_TX_BYTES, &node);
-        let rate = store
-            .rate(&tx_key, now, SimDuration::from_secs(30))
-            .unwrap_or(0.0);
+    for (node, telemetry) in snapshot.iter_nodes() {
         println!(
             "  rate({METRIC_NODE_TX_BYTES}{{instance=\"{node}\"}}[30s]) = {:.2} MB/s",
-            rate / 1e6
+            telemetry.tx_rate / 1e6
         );
     }
-    let rtt_series = store.instant_by_name(METRIC_PING_RTT, now);
-    println!("ping mesh series at t={now}: {} pairs", rtt_series.len());
+    println!(
+        "{METRIC_PING_RTT} at t={now}: {} pairs",
+        snapshot.rtt().len()
+    );
 
-    // --- The scheduler-facing snapshot and Table-1 feature vectors. ---
-    let snapshot = world.snapshot();
+    // --- Table-1 feature vectors. ---
     let schema = FeatureSchema::standard();
     let request = JobRequest::named("join-tour", WorkloadKind::Join, 250_000, 2);
     println!(
@@ -72,11 +70,9 @@ fn main() {
     }
 
     // --- Telemetry staleness: what an old snapshot would have looked like. ---
-    let stale = netsched::telemetry::ClusterSnapshot::from_store(
-        world.metrics.store(),
-        SimTime::from_secs(10),
-        SimDuration::from_secs(30),
-    );
+    let stale = world
+        .metrics
+        .snapshot(SimTime::from_secs(10), SimDuration::from_secs(30));
     println!(
         "\nsnapshot at t=10s saw {} nodes with receive traffic; at t={} it is {}",
         stale.iter_nodes().filter(|(_, t)| t.rx_rate > 0.0).count(),

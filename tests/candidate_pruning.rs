@@ -375,7 +375,10 @@ proptest! {
 fn pruned_bursts_under_live_ingest_use_whole_committed_epochs() {
     use netsched::simcore::SimDuration;
     use netsched::simnet::{gbps, mbps, Network, TopologyBuilder};
-    use netsched::telemetry::{ConcurrentScrapeManager, IngestConfig, ScrapeConfig, ScrapeManager};
+    use netsched::telemetry::{
+        node_exporter_samples, ping_mesh_samples, ConcurrentScrapeManager, IngestConfig,
+        ScrapeConfig, TimeSeriesStore,
+    };
 
     let nodes = 8usize;
     let mut b = TopologyBuilder::new();
@@ -404,14 +407,14 @@ fn pruned_bursts_under_live_ingest_use_whole_committed_epochs() {
     let config = ScrapeConfig::default();
     let times: Vec<SimTime> = (0..150u64).map(|i| SimTime::from_secs(1 + i * 5)).collect();
 
-    // Reference: the sequential scraper's snapshot after every round, at that
+    // Reference: the sample-built store's snapshot after every round, at that
     // round's own timestamp — the only states a whole-epoch reader may see.
     let mut expected: Vec<String> = Vec::with_capacity(times.len());
-    let mut reference = ScrapeManager::new(config.clone());
-    for (i, &t) in times.iter().enumerate() {
-        reference.scrape(&cluster, &network, t);
-        let mut snap = ClusterSnapshot::default();
-        reference.snapshot_into(times[i], config.rate_window, &mut snap);
+    let mut reference = TimeSeriesStore::with_retention(config.retention.unwrap());
+    for &t in &times {
+        reference.append_all(node_exporter_samples(&cluster, &network, t));
+        reference.append_all(ping_mesh_samples(&cluster, &network, t));
+        let snap = ClusterSnapshot::from_store(&reference, t, config.rate_window);
         expected.push(serde_json::to_string(&snap).unwrap());
     }
 

@@ -24,7 +24,7 @@ use netsched::simcore::rng::Rng;
 use netsched::simcore::{SimDuration, SimTime};
 use netsched::simnet::{gbps, mbps, Network, NodeId, TopologyBuilder};
 use netsched::sparksim::WorkloadKind;
-use netsched::telemetry::{ScrapeConfig, ScrapeManager};
+use netsched::telemetry::{ConcurrentScrapeManager, ScrapeConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -107,7 +107,7 @@ fn disarm() -> (u64, u64, u64) {
 
 /// An `n`-node world split across two sites, with a scraped telemetry round
 /// (host metrics and the full ping mesh).
-fn world(n: usize) -> (ClusterState, Network, ScrapeManager) {
+fn world(n: usize) -> (ClusterState, Network, ConcurrentScrapeManager) {
     let mut b = TopologyBuilder::new();
     let s0 = b.add_site("UCSD", SimDuration::from_micros(200), gbps(10.0));
     let s1 = b.add_site("FIU", SimDuration::from_micros(200), gbps(10.0));
@@ -126,7 +126,7 @@ fn world(n: usize) -> (ClusterState, Network, ScrapeManager) {
             if i < n / 2 { "UCSD" } else { "FIU" },
         ));
     }
-    let mut scrape = ScrapeManager::new(ScrapeConfig::default());
+    let mut scrape = ConcurrentScrapeManager::new(ScrapeConfig::default());
     scrape.scrape(&cluster, &network, SimTime::from_secs(1));
     (cluster, network, scrape)
 }
@@ -140,7 +140,7 @@ fn request(i: usize) -> JobRequest {
 /// scheduler, not the fallback.
 fn trained_service_with(
     cluster: &ClusterState,
-    scrape: &ScrapeManager,
+    scrape: &ConcurrentScrapeManager,
     config: SchedulerConfig,
 ) -> SchedulerService {
     let mut service = SchedulerService::new(
@@ -165,7 +165,7 @@ fn trained_service_with(
 /// A service trained with the given model family and default settings.
 fn trained_service(
     cluster: &ClusterState,
-    scrape: &ScrapeManager,
+    scrape: &ConcurrentScrapeManager,
     model_kind: ModelKind,
 ) -> SchedulerService {
     trained_service_with(

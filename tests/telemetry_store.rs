@@ -1,19 +1,19 @@
 //! Differential property tests for the interned telemetry store.
 //!
-//! The store was rewritten around interned [`SeriesId`]s, per-name bucket
-//! indexes and `partition_point` window slicing. These tests pin the rewrite
-//! against a naive reference implementation (linear scans, owned vectors,
-//! the documented append semantics) over random append/query sequences —
-//! including out-of-order samples, duplicate timestamps and retention — and
-//! pin the interned scrape→snapshot fast path against the generic
-//! store-walking assembly.
+//! The store was rewritten around interned `SeriesId`s, per-name bucket
+//! indexes and tail-walk / `partition_point` window slicing. These tests pin
+//! the rewrite against a naive reference implementation (linear scans, owned
+//! vectors, the documented append semantics) over random append/query
+//! sequences — including out-of-order samples, duplicate timestamps and
+//! retention — and pin the scrape manager's interned scrape→snapshot path
+//! against the generic store-walking assembly.
 
 use netsched::cluster::{ClusterState, Node, Resources};
 use netsched::simcore::{SimDuration, SimTime};
 use netsched::simnet::{gbps, mbps, Network, TopologyBuilder};
 use netsched::telemetry::{
-    ClusterSnapshot, MetricKind, Sample, ScrapeConfig, ScrapeManager, SeriesKey,
-    ShardedTimeSeriesStore, TimeSeriesStore,
+    node_exporter_samples, ping_mesh_samples, ClusterSnapshot, ConcurrentScrapeManager, MetricKind,
+    Sample, ScrapeConfig, SeriesKey, SnapshotSource, TimeSeriesStore,
 };
 use netsched::SimNodeId;
 use proptest::prelude::*;
@@ -184,12 +184,18 @@ proptest! {
             let (key, _) = &keys[series];
             let at = SimTime::from_secs(at);
             let window = SimDuration::from_secs(window);
-            prop_assert_eq!(fast.instant(key, at), naive.instant(key, at));
-            prop_assert_eq!(fast.rate(key, at, window), naive.rate(key, at, window));
-            prop_assert_eq!(fast.avg_over(key, at, window), naive.avg_over(key, at, window));
             let from = SimTime::from_secs(at.as_secs_f64() as u64 / 2);
-            prop_assert_eq!(fast.range(key, from, at), &naive.range(key, from, at)[..]);
-            prop_assert_eq!(fast.range_vec(key, from, at), naive.range(key, from, at));
+            // A series the generator never appended has no id (and no points
+            // in the reference).
+            let Some(id) = fast.series_id(key) else {
+                prop_assert!(naive.points(key).is_empty());
+                continue;
+            };
+            prop_assert_eq!(fast.key(id), key);
+            prop_assert_eq!(fast.instant_id(id, at), naive.instant(key, at));
+            prop_assert_eq!(fast.rate_id(id, at, window), naive.rate(key, at, window));
+            prop_assert_eq!(fast.avg_over_id(id, at, window), naive.avg_over(key, at, window));
+            prop_assert_eq!(fast.range_id(id, from, at), &naive.range(key, from, at)[..]);
         }
 
         // Per-name bucket queries agree with the naive full scan (same
@@ -208,93 +214,10 @@ proptest! {
         }
     }
 
-    /// The metric-name-sharded store answers every query API exactly like
-    /// the flat store over the same random append sequence — including
-    /// out-of-order samples, duplicate timestamps and retention pruning
-    /// (whose cutoff is monotone in the global watermark, which the sharded
-    /// store must forward to each shard).
-    #[test]
-    fn sharded_store_matches_flat_reference(
-        ops in prop::collection::vec((0usize..6, 0u64..90, 0.0f64..1e6), 1..140),
-        queries in prop::collection::vec((0usize..6, 0u64..120, 1u64..80), 1..24),
-        retention_secs in 0u64..100,
-        shard_count in 1usize..6,
-    ) {
-        let keys = universe();
-        let retention = if retention_secs < 20 {
-            None
-        } else {
-            Some(SimDuration::from_secs(retention_secs))
-        };
-        let mut flat = match retention {
-            Some(r) => TimeSeriesStore::with_retention(r),
-            None => TimeSeriesStore::new(),
-        };
-        let mut sharded = match retention {
-            Some(r) => ShardedTimeSeriesStore::with_retention(shard_count, r),
-            None => ShardedTimeSeriesStore::new(shard_count),
-        };
-
-        for &(series, t, value) in &ops {
-            let (key, kind) = &keys[series];
-            let at = SimTime::from_secs(t);
-            let sample = match kind {
-                MetricKind::Counter => Sample::counter(key.clone(), value, at),
-                MetricKind::Gauge => Sample::gauge(key.clone(), value, at),
-            };
-            sharded.append(sample.clone());
-            flat.append(sample);
-        }
-
-        prop_assert_eq!(sharded.series_count(), flat.series_count());
-        prop_assert_eq!(sharded.point_count(), flat.point_count());
-        prop_assert_eq!(sharded.max_timestamp(), flat.max_timestamp());
-        {
-            let sharded_keys = sharded.keys();
-            let flat_keys: Vec<&SeriesKey> = flat.keys().collect();
-            prop_assert_eq!(sharded_keys, flat_keys);
-        }
-
-        for &(series, at, window) in &queries {
-            let (key, _) = &keys[series];
-            let at = SimTime::from_secs(at);
-            let window = SimDuration::from_secs(window);
-            prop_assert_eq!(sharded.instant(key, at), flat.instant(key, at));
-            prop_assert_eq!(sharded.rate(key, at, window), flat.rate(key, at, window));
-            prop_assert_eq!(sharded.avg_over(key, at, window), flat.avg_over(key, at, window));
-            let from = SimTime::from_secs(at.as_secs_f64() as u64 / 2);
-            prop_assert_eq!(sharded.range(key, from, at), flat.range(key, from, at));
-            // Pre-interned id queries agree with key queries across the
-            // shard boundary.
-            if let Some(id) = sharded.series_id(key) {
-                prop_assert_eq!(sharded.instant_id(id, at), flat.instant(key, at));
-                prop_assert_eq!(sharded.range_id(id, from, at), flat.range(key, from, at));
-                prop_assert_eq!(sharded.key(id), key);
-            }
-        }
-
-        // Per-name bucket queries agree (one shard bucket vs the flat one).
-        for name in ["bytes_total", "load", "missing"] {
-            let at = SimTime::from_secs(60);
-            let mut sharded_pairs: Vec<(SeriesKey, f64)> = sharded
-                .instant_by_name(name, at)
-                .into_iter()
-                .map(|(id, v)| (sharded.key(id).clone(), v))
-                .collect();
-            let mut flat_pairs: Vec<(SeriesKey, f64)> = flat
-                .instant_by_name(name, at)
-                .into_iter()
-                .map(|(id, v)| (flat.key(id).clone(), v))
-                .collect();
-            sharded_pairs.sort_by(|a, b| a.0.cmp(&b.0));
-            flat_pairs.sort_by(|a, b| a.0.cmp(&b.0));
-            prop_assert_eq!(sharded_pairs, flat_pairs);
-        }
-    }
-
-    /// The interned scrape→snapshot fast path (pre-interned SeriesIds, dense
-    /// id-indexed assembly) produces exactly the snapshot the generic
-    /// store-walking path builds, at arbitrary fetch times.
+    /// The scrape manager's interned scrape→snapshot path (pre-interned
+    /// series ids, dense id-indexed assembly) produces exactly the snapshot
+    /// the generic store-walking path builds over the sample-built reference
+    /// store, at arbitrary fetch times.
     #[test]
     fn interned_snapshot_path_matches_generic_assembly(
         scrape_steps in prop::collection::vec(1u64..12, 1..16),
@@ -319,18 +242,21 @@ proptest! {
             ));
         }
 
-        let mut mgr = ScrapeManager::new(ScrapeConfig::default());
+        let mut mgr = ConcurrentScrapeManager::new(ScrapeConfig::default());
+        let mut reference = TimeSeriesStore::new();
         let mut now = SimTime::ZERO;
         for &step in &scrape_steps {
             now += SimDuration::from_secs(step);
             mgr.scrape(&cluster, &network, now);
+            reference.append_all(node_exporter_samples(&cluster, &network, now));
+            reference.append_all(ping_mesh_samples(&cluster, &network, now));
         }
 
         let window = SimDuration::from_secs(rate_window);
         let mut reused = ClusterSnapshot::default();
         for &offset in &fetch_offsets {
             let at = SimTime::from_secs(offset);
-            let generic = ClusterSnapshot::from_store(mgr.store(), at, window);
+            let generic = ClusterSnapshot::from_store(&reference, at, window);
             mgr.snapshot_into(at, window, &mut reused);
             prop_assert_eq!(&reused, &generic);
         }
